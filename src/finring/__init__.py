@@ -5,9 +5,8 @@ products, quotients, corners, structure-constant algebras), exhaustive
 idempotent-relative zero-pattern properties, and a law checker that
 sweeps a bundled corpus.
 """
-from .core import (DEFAULT_GUARDS, AxiomReport, Element, Guards, RingError,
-                   RingMismatchError, RingTable, SizeGuardError, arith,
-                   build_ring, power, verify_axioms)
+from .core import (DEFAULT_GUARDS, AxiomReport, Guards, RingError, RingTable,
+                   SizeGuardError, build_ring, verify_axioms)
 from .construct import (algebra_from_structure_constants, build_expr, corner,
                         direct_product, dorroh, h_ring, ideal_closure,
                         is_ideal, k_ring, matrix_ring, quotient,
@@ -16,17 +15,14 @@ from .construct import (algebra_from_structure_constants, build_expr, corner,
 from .dsl import ParseError, parse, parse_element
 from .expr import serialize, serialize_elem
 from .laws import (LAW_ORDER, Corpus, CorpusEntry, LawCase, LawReport,
-                   corpus_from_text, default_corpus, law_annihilator_quotient,
-                   law_dorroh, law_e_and_complement, law_ere, law_h_ring,
-                   law_min_abel, law_prime_domain, law_products,
-                   law_quotient_lift, law_semiprime_collapse, law_twisted_u2,
-                   load_corpus, replicate_examples, run_law, run_laws)
+                   corpus_from_text, default_corpus, load_corpus, run_law,
+                   run_laws, select_laws)
 from .predicates import (ALL_PROPS, E_PROPS, GLOBAL_PROPS, PropertyVerdict,
                          center, check_property, idempotents,
                          is_left_min_abel, is_left_semicentral,
                          is_right_semicentral, left_annihilator,
                          minimal_left_idempotents, nilpotency_index,
-                         nilpotents, replay_witness, right_annihilator,
-                         survey, unit_inverse)
+                         nilpotents, property_name, replay_witness,
+                         right_annihilator, survey, unit_inverse)
 
 __version__ = "0.1.0"

@@ -13,13 +13,15 @@ import sys
 
 from .core import DEFAULT_GUARDS, Guards, RingError, SizeGuardError
 from .core import verify_axioms
-from .construct import build_expr, resolve_element
+from .construct import build_expr
 from .dsl import ParseError, parse
 from .expr import serialize
-from .laws import LAW_ORDER, default_corpus, load_corpus, run_laws
+from .laws import (LAW_ORDER, default_corpus, load_corpus, run_laws,
+                   select_laws)
 from .predicates import (E_PROPS, GLOBAL_PROPS, center, check_property,
                          idempotents, is_left_semicentral,
-                         is_right_semicentral, nilpotents)
+                         is_right_semicentral, nilpotents, property_name,
+                         survey)
 
 SCHEMA = "finring/1"
 
@@ -56,10 +58,8 @@ def _payload(args, ring_text, results) -> dict:
     }
 
 
-def _build(args, text):
-    node = parse(text)
-    ring = build_expr(node, _guards(args), args.cache)
-    return ring, serialize(node)
+def _build(args, node):
+    return build_expr(node, _guards(args), args.cache), serialize(node)
 
 
 def _verify_note(ring, guards):
@@ -78,10 +78,12 @@ def _clip(text, width=44):
 
 
 def cmd_check(args) -> int:
-    ring, canon = _build(args, args.expr)
+    node = parse(args.expr)
+    prop = property_name(args.property, args.e)    # before any build
+    ring, canon = _build(args, node)
     guards = _guards(args)
     axioms = _verify_note(ring, guards)
-    verdict = check_property(ring, args.property, args.e, guards)
+    verdict = check_property(ring, prop, args.e, guards)
     results = [{"kind": "axioms", "status": axioms},
                verdict.to_dict()]
     if args.format == "json":
@@ -104,26 +106,23 @@ def cmd_check(args) -> int:
 
 
 def cmd_survey(args) -> int:
-    ring, canon = _build(args, args.expr)
+    ring, canon = _build(args, parse(args.expr))
     guards = _guards(args)
     axioms = _verify_note(ring, guards)
-    globals_res = [check_property(ring, p, None, guards).to_dict()
-                   for p in GLOBAL_PROPS]
+    verdicts = survey(ring, guards)
+    globals_res = [v.to_dict() for v in verdicts if v.idempotent is None]
+    status = {(v.idempotent, v.property): v.status for v in verdicts}
     rows = []
     for f in (int(x) for x in idempotents(ring)):
-        verdicts = {}
-        for prop in E_PROPS:
-            if f == ring.zero:
-                # relative conditions degenerate at zero: every product
-                # is crushed by the idempotent
-                verdicts[prop] = "holds"
-            else:
-                verdicts[prop] = check_property(ring, prop, f, guards).status
+        label = ring.labels[f]
         rows.append({
-            "idempotent": ring.labels[f],
+            "idempotent": label,
             "left_semicentral": bool(is_left_semicentral(ring, f)),
             "right_semicentral": bool(is_right_semicentral(ring, f)),
-            "verdicts": verdicts,
+            # relative conditions degenerate at zero: every product is
+            # crushed by the idempotent
+            "verdicts": {p: "holds" if f == ring.zero else status[label, p]
+                         for p in E_PROPS},
         })
     results = [{"kind": "axioms", "status": axioms},
                {"kind": "global", "verdicts": globals_res},
@@ -152,11 +151,12 @@ def cmd_survey(args) -> int:
 
 def cmd_laws(args) -> int:
     guards = _guards(args)
+    laws = select_laws(args.law or None)     # before the corpus is built
     if args.corpus:
         corpus = load_corpus(args.corpus, guards, args.cache)
     else:
         corpus = default_corpus(guards, args.cache)
-    reports = run_laws(corpus, guards, args.law or None)
+    reports = run_laws(corpus, guards, laws)
     violated = sum(r.totals["violated"] for r in reports)
     results = [r.to_dict() for r in reports]
     if args.format == "json":
@@ -182,7 +182,7 @@ def cmd_laws(args) -> int:
 
 
 def cmd_describe(args) -> int:
-    ring, canon = _build(args, args.expr)
+    ring, canon = _build(args, parse(args.expr))
     guards = _guards(args)
     axioms = _verify_note(ring, guards)
     ids = [int(x) for x in idempotents(ring)]

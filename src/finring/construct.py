@@ -15,8 +15,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (DEFAULT_GUARDS, Element, Guards, RingError, RingTable,
-                   SizeGuardError, build_ring, table_dtype)
+from .core import (_CHUNK_CELLS, DEFAULT_GUARDS, Guards, RingError,
+                   RingTable, SizeGuardError, build_ring, table_dtype)
 from .dsl import parse, parse_element
 from .expr import (AlgebraExpr, BracketList, CornerExpr, CosetLit,
                    DorrohExpr, HExpr, HomTable, IntLit, KExpr, MatExpr,
@@ -29,8 +29,6 @@ __all__ = [
     "algebra_from_structure_constants", "subring", "sub_ring_table",
     "ideal_closure", "is_ideal", "build_expr", "resolve_element",
 ]
-
-_CHUNK_CELLS = 1 << 22
 
 
 def _guard_build(order: int, guards: Guards, what: str):
@@ -94,15 +92,10 @@ def _build_table(space: _CoordSpace, coord_fn, dtype) -> np.ndarray:
 def resolve_element(R: RingTable, spec) -> int:
     """Turn an element description into an index of R.
 
-    Accepts an Element of R, a plain int (taken as a raw index), label
-    text, or a parsed literal node.  Text integers mean residues in
-    Z(n) but only 0 and 1 elsewhere; '#k' is always the raw index k.
+    Accepts a plain int (taken as a raw index), label text, or a parsed
+    literal node.  Text integers mean residues in Z(n) but only 0 and 1
+    elsewhere; '#k' is always the raw index k.
     """
-    if isinstance(spec, Element):
-        if spec.ring is not R:
-            raise RingError("element belongs to %s, not %s"
-                            % (spec.ring.provenance, R.provenance))
-        return spec.index
     if isinstance(spec, (int, np.integer)):
         i = int(spec)
         if not 0 <= i < R.order:

@@ -7,28 +7,23 @@ immutable once built: predicates cache derived sweeps on the ring.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "Guards", "DEFAULT_GUARDS", "RingError", "RingMismatchError",
-    "SizeGuardError", "RingTable", "Element", "AxiomReport",
-    "build_ring", "verify_axioms", "arith", "power",
+    "Guards", "DEFAULT_GUARDS", "RingError", "SizeGuardError", "RingTable",
+    "AxiomReport", "build_ring", "verify_axioms",
 ]
 
-# cells touched per chunk in the triple-sweep scans; bounds peak memory
+# cells touched per chunk in table builds and triple sweeps; bounds peak
+# memory
 _CHUNK_CELLS = 1 << 22
 
 
 class RingError(ValueError):
     """A table or construction input is malformed."""
-
-
-class RingMismatchError(RingError):
-    """Elements of different rings were mixed in one operation."""
 
 
 class SizeGuardError(RuntimeError):
@@ -64,68 +59,8 @@ class RingTable:
     layout: object = None            # construction-aware label codec
     _cache: dict = field(default_factory=dict, repr=False)
 
-    def element(self, i: int) -> "Element":
-        if not 0 <= i < self.order:
-            raise RingError("index %d out of range for order %d" % (i, self.order))
-        return Element(self, int(i))
-
-    def elements(self) -> Iterator["Element"]:
-        return (Element(self, i) for i in range(self.order))
-
-    def label(self, i: int) -> str:
-        return self.labels[i]
-
-    @property
-    def zero_el(self) -> "Element":
-        return Element(self, self.zero)
-
-    @property
-    def one_el(self) -> "Element":
-        return Element(self, self.one)
-
     def __repr__(self):
         return "RingTable(order=%d, provenance=%r)" % (self.order, self.provenance)
-
-
-@dataclass(frozen=True)
-class Element:
-    ring: RingTable
-    index: int
-
-    def _peer(self, other: "Element") -> int:
-        if not isinstance(other, Element):
-            raise TypeError("expected Element, got %r" % (other,))
-        if other.ring is not self.ring:
-            raise RingMismatchError("ring mismatch: %s vs %s"
-                                    % (self.ring.provenance, other.ring.provenance))
-        return other.index
-
-    def __add__(self, other):
-        return Element(self.ring, int(self.ring.add[self.index, self._peer(other)]))
-
-    def __sub__(self, other):
-        j = self._peer(other)
-        return Element(self.ring, int(self.ring.add[self.index, self.ring.neg[j]]))
-
-    def __mul__(self, other):
-        return Element(self.ring, int(self.ring.mul[self.index, self._peer(other)]))
-
-    def __neg__(self):
-        return Element(self.ring, int(self.ring.neg[self.index]))
-
-    def __eq__(self, other):
-        return (isinstance(other, Element) and other.ring is self.ring
-                and other.index == self.index)
-
-    def __hash__(self):
-        return hash((id(self.ring), self.index))
-
-    @property
-    def label(self) -> str:
-        return self.ring.labels[self.index]
-
-    def __repr__(self):
-        return "<%s of %s>" % (self.label, self.ring.provenance)
 
 
 @dataclass
@@ -262,34 +197,3 @@ def verify_axioms(R: RingTable, guards: Guards = DEFAULT_GUARDS) -> AxiomReport:
 
     return AxiomReport(passed=not violations, order=n, violations=violations)
 
-
-def arith(R: RingTable, op: str, *args) -> Element:
-    """Generic dispatcher over {'add','sub','mul','neg'} on Elements."""
-    els = []
-    for a in args:
-        if isinstance(a, Element):
-            if a.ring is not R:
-                raise RingMismatchError("ring mismatch in arith()")
-            els.append(a)
-        else:
-            els.append(R.element(int(a)))
-    if op == "add":
-        return els[0] + els[1]
-    if op == "sub":
-        return els[0] - els[1]
-    if op == "mul":
-        return els[0] * els[1]
-    if op == "neg":
-        return -els[0]
-    raise ValueError("unknown arith op %r" % op)
-
-
-def power(R: RingTable, a, k: int) -> Element:
-    """a**k by left-associated repeated multiplication, k >= 1."""
-    if k < 1:
-        raise ValueError("power requires k >= 1")
-    i = a.index if isinstance(a, Element) else int(a)
-    acc = i
-    for _ in range(k - 1):
-        acc = int(R.mul[acc, i])
-    return R.element(acc)

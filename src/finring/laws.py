@@ -27,11 +27,8 @@ from .predicates import (center, check_property, idempotents,
 
 __all__ = [
     "LawCase", "LawReport", "Corpus", "CorpusEntry", "LAW_ORDER",
-    "load_corpus", "corpus_from_text", "default_corpus", "run_law",
-    "run_laws", "law_ere", "law_semiprime_collapse", "law_e_and_complement",
-    "law_prime_domain", "law_min_abel", "law_products", "law_quotient_lift",
-    "law_annihilator_quotient", "law_dorroh", "law_h_ring", "law_twisted_u2",
-    "replicate_examples",
+    "load_corpus", "corpus_from_text", "default_corpus", "select_laws",
+    "run_law", "run_laws",
 ]
 
 _STATUSES = ("holds", "violated", "not-applicable", "skipped")
@@ -966,77 +963,29 @@ _CHECKERS = {
 def run_law(law: str, corpus: Corpus,
             guards: Guards = DEFAULT_GUARDS) -> LawReport:
     """Sweep one law over the corpus."""
-    law = law.replace("-", "_")
-    if law not in _CHECKERS:
-        raise ValueError("unknown law %r (known: %s)"
-                         % (law, ", ".join(LAW_ORDER)))
+    (law,) = select_laws([law])
     t0 = time.perf_counter()
     cases = _CHECKERS[law](corpus, guards)
     return LawReport(law, _STATEMENTS[law], cases,
                      time.perf_counter() - t0)
 
 
+def select_laws(only=None) -> list:
+    """Names of the laws to sweep, in canonical order: all of them by
+    default, else those in only (dashes are fine).  Unknown names raise
+    ValueError, so a caller can check them before building a corpus."""
+    if only is None:
+        return list(LAW_ORDER)
+    wanted = {w.replace("-", "_") for w in only}
+    for w in wanted:
+        if w not in _CHECKERS:
+            raise ValueError("unknown law %r (known: %s)"
+                             % (w, ", ".join(LAW_ORDER)))
+    return [law for law in LAW_ORDER if law in wanted]
+
+
 def run_laws(corpus: Corpus, guards: Guards = DEFAULT_GUARDS,
              only=None) -> list:
     """Sweep laws in their canonical order (all of them by default)."""
-    if only is None:
-        wanted = set(LAW_ORDER)
-    else:
-        wanted = {w.replace("-", "_") for w in only}
-        for w in wanted:
-            if w not in _CHECKERS:
-                raise ValueError("unknown law %r (known: %s)"
-                                 % (w, ", ".join(LAW_ORDER)))
-    return [run_law(law, corpus, guards) for law in LAW_ORDER
-            if law in wanted]
+    return [run_law(law, corpus, guards) for law in select_laws(only)]
 
-
-def law_ere(corpus, guards=DEFAULT_GUARDS):
-    return run_law("ere", corpus, guards)
-
-
-def law_semiprime_collapse(corpus, guards=DEFAULT_GUARDS):
-    return run_law("semiprime_collapse", corpus, guards)
-
-
-def law_e_and_complement(corpus, guards=DEFAULT_GUARDS):
-    return run_law("e_and_complement", corpus, guards)
-
-
-def law_prime_domain(corpus, guards=DEFAULT_GUARDS):
-    return run_law("prime_domain", corpus, guards)
-
-
-def law_min_abel(corpus, guards=DEFAULT_GUARDS):
-    return run_law("min_abel", corpus, guards)
-
-
-def law_products(corpus, guards=DEFAULT_GUARDS):
-    return run_law("products", corpus, guards)
-
-
-def law_quotient_lift(corpus, guards=DEFAULT_GUARDS):
-    return run_law("quotient_lift", corpus, guards)
-
-
-def law_annihilator_quotient(corpus, guards=DEFAULT_GUARDS):
-    return run_law("annihilator_quotient", corpus, guards)
-
-
-def law_dorroh(corpus, guards=DEFAULT_GUARDS):
-    return run_law("dorroh", corpus, guards)
-
-
-def law_h_ring(corpus, guards=DEFAULT_GUARDS):
-    return run_law("h_ring", corpus, guards)
-
-
-def law_twisted_u2(corpus, guards=DEFAULT_GUARDS):
-    return run_law("twisted_u2", corpus, guards)
-
-
-def replicate_examples(corpus=None, guards=DEFAULT_GUARDS):
-    """Run the pinned scenes; the corpus argument is accepted but unused."""
-    if corpus is None:
-        corpus = Corpus("unused", [])
-    return run_law("examples", corpus, guards)

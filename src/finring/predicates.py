@@ -9,43 +9,25 @@ and per-e verdicts afterwards cost O(order).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .core import DEFAULT_GUARDS, Guards, RingError, RingTable
+from .core import (_CHUNK_CELLS, DEFAULT_GUARDS, Guards, RingError,
+                   RingTable)
 from .construct import resolve_element
 
 __all__ = [
     "PropertyVerdict", "GLOBAL_PROPS", "E_PROPS", "ALL_PROPS",
-    "check_property", "survey", "replay_witness", "idempotents",
-    "nilpotents", "nilpotency_index", "center", "right_annihilator",
+    "property_name", "check_property", "survey", "replay_witness",
+    "idempotents", "nilpotents", "nilpotency_index", "center",
+    "right_annihilator",
     "left_annihilator", "is_left_semicentral", "is_right_semicentral",
     "minimal_left_idempotents", "is_left_min_abel", "unit_inverse",
 ]
 
 _SENTINEL = np.int64(1) << 62
-_CHUNK_CELLS = 1 << 22
-
-GLOBAL_PROPS = (
-    "reduced", "reversible", "symmetric", "semicommutative", "reflexive",
-    "right_idempotent_reflexive", "abelian", "semiprime", "prime", "domain",
-    "directly_finite", "von_neumann_regular",
-)
-E_PROPS = (
-    "right_e_reversible", "left_e_reversible", "right_e_reduced",
-    "left_e_reduced", "e_symmetric", "right_e_semicommutative",
-    "left_e_semicommutative",
-)
-ALL_PROPS = GLOBAL_PROPS + E_PROPS
-
-# order^2-cost properties; the rest pay order^3 in the worst case
-_PAIR_PROPS = frozenset((
-    "reduced", "reversible", "abelian", "semiprime", "domain",
-    "directly_finite", "von_neumann_regular", "right_e_reversible",
-    "left_e_reversible", "right_e_reduced", "left_e_reduced",
-))
 
 
 @dataclass
@@ -298,6 +280,14 @@ def _symm_min(R: RingTable) -> np.ndarray:
     return m
 
 
+def _nil_min(R: RingTable) -> np.ndarray:
+    """m[x] = x over the nilpotents x: each is its own least witness."""
+    m = np.full(R.order, _SENTINEL, dtype=np.int64)
+    nil = nilpotents(R)
+    m[nil] = nil
+    return m
+
+
 def _least_fail(m: np.ndarray, badvals: np.ndarray) -> Optional[int]:
     hit = (m < _SENTINEL) & badvals
     if not hit.any():
@@ -305,179 +295,139 @@ def _least_fail(m: np.ndarray, badvals: np.ndarray) -> Optional[int]:
     return int(m[hit].min())
 
 
+def _prod(R: RingTable, *xs) -> int:
+    """Left-to-right product of element indices."""
+    acc = int(xs[0])
+    for x in xs[1:]:
+        acc = int(R.mul[acc, x])
+    return acc
+
+
+def _annihilates(R: RingTable, a, b) -> bool:
+    """a*R*b = 0."""
+    return bool((R.mul[R.mul[a, :], b] == R.zero).all())
+
+
 # ---------------------------------------------------------------------------
-# individual checkers: return (witness indices, detail) or (None, None)
+# the property table: name -> guard kind, checker and witness replay
 
 
-def _mul3(R, a, b, c):
-    return int(R.mul[R.mul[a, b], c])
+class _Prop(NamedTuple):
+    kind: str           # pair | triple: the sweep guard that applies
+    check: Callable     # (R, e) -> (witness, detail), or (None, None)
+    replay: Callable    # (R, e, *witness) -> True on a genuine violation
+    relative: bool = False      # decided relative to a nonzero idempotent
 
 
-def _chk_reversible(R, e):
-    code = _least_fail(_rev_min(R), np.arange(R.order) != R.zero)
-    if code is None:
-        return None, None
-    a, b = divmod(code, R.order)
-    return (a, b), ("%s*%s = 0 but %s*%s = %s"
-                    % (R.labels[a], R.labels[b], R.labels[b], R.labels[a],
-                       R.labels[int(R.mul[b, a])]))
+class _Family(NamedTuple):
+    """Conditions of the shape "premise on a tuple w implies value = 0",
+    the value being a product of entries of w.  The sweep cache holds,
+    for each value, the least code of a tuple meeting the premise."""
+    kind: str
+    minima: Callable    # R -> per-value least codes
+    premise: Optional[tuple]    # entries of w with product 0, or None
+                                # for "w[0] is nilpotent"
+    value: tuple        # entries of w whose product is the value
+
+    def premise_holds(self, R, w) -> bool:
+        if self.premise is None:
+            return nilpotency_index(R, w[0]) is not None
+        return _prod(R, *(w[i] for i in self.premise)) == R.zero
+
+    def value_at(self, R, w) -> int:
+        return _prod(R, *(w[i] for i in self.value))
 
 
-def _chk_right_e_reversible(R, e):
-    code = _least_fail(_rev_min(R), np.asarray(R.mul[:, e]) != R.zero)
-    if code is None:
-        return None, None
-    a, b = divmod(code, R.order)
-    return (a, b), ("%s*%s = 0 but (%s*%s)*e = %s"
-                    % (R.labels[a], R.labels[b], R.labels[b], R.labels[a],
-                       R.labels[_mul3(R, b, a, e)]))
+_REV = _Family("pair", _rev_min, (0, 1), (1, 0))
+_SCOMM = _Family("triple", lambda R: _scomm_cache(R)[0], (0, 1), (0, 2, 1))
+_SYMM = _Family("triple", _symm_min, (0, 1, 2), (0, 2, 1))
+_NIL = _Family("pair", _nil_min, None, (0,))
 
 
-def _chk_left_e_reversible(R, e):
-    code = _least_fail(_rev_min(R), np.asarray(R.mul[e, :]) != R.zero)
-    if code is None:
-        return None, None
-    a, b = divmod(code, R.order)
-    return (a, b), ("%s*%s = 0 but e*(%s*%s) = %s"
-                    % (R.labels[a], R.labels[b], R.labels[b], R.labels[a],
-                       R.labels[_mul3(R, e, R.mul[b, a], R.one)]))
+def _sided(R: RingTable, side: str, e) -> np.ndarray:
+    """s[v] for each value v: v itself, v*e on the right, e*v on the left."""
+    if side == "right":
+        return np.asarray(R.mul[:, e])
+    if side == "left":
+        return np.asarray(R.mul[e, :])
+    return np.arange(R.order)
 
 
-def _chk_semicommutative(R, e):
-    m, _ = _scomm_cache(R)
-    code = _least_fail(m, np.arange(R.order) != R.zero)
-    if code is None:
-        return None, None
-    ab, r = divmod(code, R.order)
-    a, b = divmod(ab, R.order)
-    return (a, b, r), ("%s*%s = 0 but %s*%s*%s = %s"
-                       % (R.labels[a], R.labels[b], R.labels[a], R.labels[r],
-                          R.labels[b], R.labels[_mul3(R, R.mul[a, r], b, R.one)]))
+def _family_prop(fam: _Family, side: str = "") -> _Prop:
+    """Value != 0 (side ""), value*e != 0 (right) or e*value != 0 (left)
+    refutes the condition."""
+    arity = max(fam.value) + 1
+    frame = {"": "%s", "right": "%s*e", "left": "e*%s"}[side]
+
+    def check(R, e):
+        sided = _sided(R, side, e)
+        code = _least_fail(fam.minima(R), sided != R.zero)
+        if code is None:
+            return None, None
+        w = tuple(int(i) for i in np.unravel_index(code, (R.order,) * arity))
+        lab = [R.labels[i] for i in w]
+        if fam.premise is None:
+            premise = "%s^%d = 0" % (lab[0], nilpotency_index(R, w[0]))
+        else:
+            premise = "*".join(lab[i] for i in fam.premise) + " = 0"
+        if not side and len(fam.value) == 1:
+            return w, premise       # the value is the witness itself
+        value = "*".join(lab[i] for i in fam.value)
+        if side and len(fam.value) > 1:
+            value = "(%s)" % value
+        shown = sided[fam.value_at(R, w)]
+        return w, "%s but %s = %s" % (premise, frame % value,
+                                      R.labels[shown])
+
+    def replay(R, e, *w):
+        return (fam.premise_holds(R, w)
+                and _sided(R, side, e)[fam.value_at(R, w)] != R.zero)
+
+    return _Prop(fam.kind, check, replay, bool(side))
 
 
-def _chk_right_e_semicommutative(R, e):
-    m, _ = _scomm_cache(R)
-    code = _least_fail(m, np.asarray(R.mul[:, e]) != R.zero)
-    if code is None:
-        return None, None
-    ab, r = divmod(code, R.order)
-    a, b = divmod(ab, R.order)
-    arb = _mul3(R, R.mul[a, r], b, R.one)
-    return (a, b, r), ("%s*%s = 0 but (%s*%s*%s)*e = %s"
-                       % (R.labels[a], R.labels[b], R.labels[a], R.labels[r],
-                          R.labels[b], R.labels[int(R.mul[arb, e])]))
-
-
-def _chk_left_e_semicommutative(R, e):
-    m, _ = _scomm_cache(R)
-    code = _least_fail(m, np.asarray(R.mul[e, :]) != R.zero)
-    if code is None:
-        return None, None
-    ab, r = divmod(code, R.order)
-    a, b = divmod(ab, R.order)
-    arb = _mul3(R, R.mul[a, r], b, R.one)
-    return (a, b, r), ("%s*%s = 0 but e*(%s*%s*%s) = %s"
-                       % (R.labels[a], R.labels[b], R.labels[a], R.labels[r],
-                          R.labels[b], R.labels[int(R.mul[e, arb])]))
-
-
-def _chk_symmetric(R, e):
-    code = _least_fail(_symm_min(R), np.arange(R.order) != R.zero)
-    if code is None:
-        return None, None
-    a, rem = divmod(code, R.order * R.order)
-    b, c = divmod(rem, R.order)
-    return (a, b, c), ("%s*%s*%s = 0 but %s*%s*%s = %s"
-                       % (R.labels[a], R.labels[b], R.labels[c], R.labels[a],
-                          R.labels[c], R.labels[b],
-                          R.labels[_mul3(R, R.mul[a, c], b, R.one)]))
-
-
-def _chk_e_symmetric(R, e):
-    code = _least_fail(_symm_min(R), np.asarray(R.mul[:, e]) != R.zero)
-    if code is None:
-        return None, None
-    a, rem = divmod(code, R.order * R.order)
-    b, c = divmod(rem, R.order)
-    acb = _mul3(R, R.mul[a, c], b, R.one)
-    return (a, b, c), ("%s*%s*%s = 0 but (%s*%s*%s)*e = %s"
-                       % (R.labels[a], R.labels[b], R.labels[c], R.labels[a],
-                          R.labels[c], R.labels[b],
-                          R.labels[int(R.mul[acb, e])]))
-
-
-def _chk_reduced(R, e):
-    for x in nilpotents(R):
-        if x != R.zero:
-            return (int(x),), ("%s^%d = 0" % (R.labels[x],
-                                              nilpotency_index(R, int(x))))
-    return None, None
-
-
-def _chk_right_e_reduced(R, e):
-    for x in nilpotents(R):
-        if R.mul[x, e] != R.zero:
-            return (int(x),), ("%s^%d = 0 but %s*e = %s"
-                               % (R.labels[x], nilpotency_index(R, int(x)),
-                                  R.labels[x], R.labels[int(R.mul[x, e])]))
-    return None, None
-
-
-def _chk_left_e_reduced(R, e):
-    for x in nilpotents(R):
-        if R.mul[e, x] != R.zero:
-            return (int(x),), ("%s^%d = 0 but e*%s = %s"
-                               % (R.labels[x], nilpotency_index(R, int(x)),
-                                  R.labels[x], R.labels[int(R.mul[e, x])]))
-    return None, None
-
-
-def _rel_codes(R):
+def _first_unreflected(R, pairs):
+    """First (a, b) of pairs (all with a*R*b = 0) whose reverse b*R*a is
+    not 0, with the least r making b*r*a nonzero; None if there is none."""
+    if len(pairs) == 0:
+        return None
     _, rel = _scomm_cache(R)
-    return rel, rel[:, 0] * np.int64(R.order) + rel[:, 1]
+    codes = rel[:, 0] * np.int64(R.order) + rel[:, 1]
+    back = pairs[:, 1] * np.int64(R.order) + pairs[:, 0]
+    pos = np.searchsorted(codes, back)
+    pos[pos >= len(codes)] = len(codes) - 1
+    bad = np.flatnonzero(codes[pos] != back)
+    if len(bad) == 0:
+        return None
+    a, b = (int(v) for v in pairs[bad[0]])
+    return a, b, int(np.flatnonzero(R.mul[R.mul[b, :], a] != R.zero)[0])
 
 
 def _chk_reflexive(R, e):
-    rel, codes = _rel_codes(R)
-    if len(rel) == 0:
+    w = _first_unreflected(R, _scomm_cache(R)[1])
+    if w is None:
         return None, None
-    back = rel[:, 1] * np.int64(R.order) + rel[:, 0]
-    pos = np.searchsorted(codes, back)
-    pos[pos >= len(codes)] = len(codes) - 1
-    bad = np.flatnonzero(codes[pos] != back)
-    if len(bad) == 0:
-        return None, None
-    a, b = (int(v) for v in rel[bad[0]])
-    r = int(np.flatnonzero(R.mul[R.mul[b, :], a] != R.zero)[0])
-    return (a, b, r), ("%s*R*%s = 0 but %s*%s*%s = %s"
-                       % (R.labels[a], R.labels[b], R.labels[b], R.labels[r],
-                          R.labels[a], R.labels[_mul3(R, b, r, a)]))
+    a, b, r = w
+    return w, ("%s*R*%s = 0 but %s*%s*%s = %s"
+               % (R.labels[a], R.labels[b], R.labels[b], R.labels[r],
+                  R.labels[a], R.labels[_prod(R, b, r, a)]))
 
 
 def _chk_right_idempotent_reflexive(R, e):
-    rel, codes = _rel_codes(R)
-    if len(rel) == 0:
-        return None, None
+    rel = _scomm_cache(R)[1]
     idem = np.zeros(R.order, dtype=bool)
     idem[idempotents(R)] = True
-    cand = np.flatnonzero(idem[rel[:, 1]])
-    if len(cand) == 0:
+    w = _first_unreflected(R, rel[idem[rel[:, 1]]])
+    if w is None:
         return None, None
-    back = rel[cand, 1] * np.int64(R.order) + rel[cand, 0]
-    pos = np.searchsorted(codes, back)
-    pos[pos >= len(codes)] = len(codes) - 1
-    bad = np.flatnonzero(codes[pos] != back)
-    if len(bad) == 0:
-        return None, None
-    h, f = (int(v) for v in rel[cand[bad[0]]])
-    r = int(np.flatnonzero(R.mul[R.mul[f, :], h] != R.zero)[0])
-    return (h, f, r), ("%s*R*%s = 0 with %s idempotent, but %s*%s*%s = %s"
-                       % (R.labels[h], R.labels[f], R.labels[f], R.labels[f],
-                          R.labels[r], R.labels[h], R.labels[_mul3(R, f, r, h)]))
+    h, f, r = w
+    return w, ("%s*R*%s = 0 with %s idempotent, but %s*%s*%s = %s"
+               % (R.labels[h], R.labels[f], R.labels[f], R.labels[f],
+                  R.labels[r], R.labels[h], R.labels[_prod(R, f, r, h)]))
 
 
 def _chk_prime(R, e):
-    rel, _ = _rel_codes(R)
+    rel = _scomm_cache(R)[1]
     live = rel[(rel[:, 0] != R.zero) & (rel[:, 1] != R.zero)]
     if len(live) == 0:
         return None, None
@@ -490,9 +440,7 @@ def _chk_semiprime(R, e):
     ar = np.arange(R.order)
     for a in np.flatnonzero(R.mul[ar, ar] == R.zero):
         a = int(a)
-        if a == R.zero:
-            continue
-        if (R.mul[R.mul[a, :], a] == R.zero).all():
+        if a != R.zero and _annihilates(R, a, a):
             return (a,), "%s*R*%s = 0 but %s is nonzero" % (
                 R.labels[a], R.labels[a], R.labels[a])
     return None, None
@@ -544,27 +492,72 @@ def _chk_von_neumann_regular(R, e):
         R.labels[a], R.labels[a], R.labels[a])
 
 
-_DISPATCH = {
-    "reduced": _chk_reduced,
-    "reversible": _chk_reversible,
-    "symmetric": _chk_symmetric,
-    "semicommutative": _chk_semicommutative,
-    "reflexive": _chk_reflexive,
-    "right_idempotent_reflexive": _chk_right_idempotent_reflexive,
-    "abelian": _chk_abelian,
-    "semiprime": _chk_semiprime,
-    "prime": _chk_prime,
-    "domain": _chk_domain,
-    "directly_finite": _chk_directly_finite,
-    "von_neumann_regular": _chk_von_neumann_regular,
-    "right_e_reversible": _chk_right_e_reversible,
-    "left_e_reversible": _chk_left_e_reversible,
-    "right_e_reduced": _chk_right_e_reduced,
-    "left_e_reduced": _chk_left_e_reduced,
-    "e_symmetric": _chk_e_symmetric,
-    "right_e_semicommutative": _chk_right_e_semicommutative,
-    "left_e_semicommutative": _chk_left_e_semicommutative,
+_PROPS = {
+    "reduced": _family_prop(_NIL),
+    "reversible": _family_prop(_REV),
+    "symmetric": _family_prop(_SYMM),
+    "semicommutative": _family_prop(_SCOMM),
+    "reflexive": _Prop(
+        "triple", _chk_reflexive,
+        lambda R, e, a, b, r: (_annihilates(R, a, b)
+                               and _prod(R, b, r, a) != R.zero)),
+    "right_idempotent_reflexive": _Prop(
+        "triple", _chk_right_idempotent_reflexive,
+        lambda R, e, h, f, r: (_prod(R, f, f) == f and _annihilates(R, h, f)
+                               and _prod(R, f, r, h) != R.zero)),
+    "abelian": _Prop(
+        "pair", _chk_abelian,
+        lambda R, e, f, r: (_prod(R, f, f) == f
+                            and _prod(R, f, r) != _prod(R, r, f))),
+    "semiprime": _Prop(
+        "pair", _chk_semiprime,
+        lambda R, e, a: a != R.zero and _annihilates(R, a, a)),
+    "prime": _Prop(
+        "triple", _chk_prime,
+        lambda R, e, a, b: (a != R.zero and b != R.zero
+                            and _annihilates(R, a, b))),
+    "domain": _Prop(
+        "pair", _chk_domain,
+        lambda R, e, a, b: (a != R.zero and b != R.zero
+                            and _prod(R, a, b) == R.zero)),
+    "directly_finite": _Prop(
+        "pair", _chk_directly_finite,
+        lambda R, e, a, b: (_prod(R, a, b) == R.one
+                            and _prod(R, b, a) != R.one)),
+    "von_neumann_regular": _Prop(
+        "pair", _chk_von_neumann_regular,
+        lambda R, e, a: not (R.mul[R.mul[a, :], a] == a).any()),
+    "right_e_reversible": _family_prop(_REV, "right"),
+    "left_e_reversible": _family_prop(_REV, "left"),
+    "right_e_reduced": _family_prop(_NIL, "right"),
+    "left_e_reduced": _family_prop(_NIL, "left"),
+    "e_symmetric": _family_prop(_SYMM, "right"),
+    "right_e_semicommutative": _family_prop(_SCOMM, "right"),
+    "left_e_semicommutative": _family_prop(_SCOMM, "left"),
 }
+
+ALL_PROPS = tuple(_PROPS)
+GLOBAL_PROPS = tuple(p for p in ALL_PROPS if not _PROPS[p].relative)
+E_PROPS = tuple(p for p in ALL_PROPS if _PROPS[p].relative)
+
+
+def _canonical(prop: str) -> str:
+    name = prop.replace("-", "_")
+    if name not in _PROPS:
+        raise ValueError("unknown property %r" % name)
+    return name
+
+
+def property_name(prop: str, e=None) -> str:
+    """Canonical name of prop (dashes are fine), checked without a ring:
+    unknown names raise ValueError, and e must be given exactly when the
+    property is relative to an idempotent (RingError otherwise)."""
+    name = _canonical(prop)
+    if _PROPS[name].relative and e is None:
+        raise RingError("property %s is relative to an idempotent" % name)
+    if not _PROPS[name].relative and e is not None:
+        raise RingError("property %s takes no idempotent" % name)
+    return name
 
 
 def check_property(R: RingTable, prop: str, e=None,
@@ -575,15 +568,11 @@ def check_property(R: RingTable, prop: str, e=None,
     caps distinguish order^2 sweeps from order^3 ones.
     """
     t0 = time.perf_counter()
-    prop = prop.replace("-", "_")
-    if prop not in _DISPATCH:
-        raise ValueError("unknown property %r" % prop)
-    needs_e = prop in E_PROPS
+    prop = property_name(prop, e)
+    spec = _PROPS[prop]
     eidx = None
     elabel = None
-    if needs_e:
-        if e is None:
-            raise RingError("property %s is relative to an idempotent" % prop)
+    if spec.relative:
         eidx = resolve_element(R, e)
         if int(R.mul[eidx, eidx]) != eidx:
             raise RingError("%s is not idempotent in %s"
@@ -591,16 +580,13 @@ def check_property(R: RingTable, prop: str, e=None,
         if eidx == R.zero:
             raise RingError("the distinguished idempotent must be nonzero")
         elabel = R.labels[eidx]
-    elif e is not None:
-        raise RingError("property %s takes no idempotent" % prop)
-    kind = "pair" if prop in _PAIR_PROPS else "triple"
-    cap = guards.pair_cap if kind == "pair" else guards.triple_cap
+    cap = guards.pair_cap if spec.kind == "pair" else guards.triple_cap
     if R.order > cap:
         return PropertyVerdict(prop, R.provenance, elabel, "skipped",
                                reason="order %d exceeds the %s sweep guard %d"
-                                      % (R.order, kind, cap),
+                                      % (R.order, spec.kind, cap),
                                elapsed=time.perf_counter() - t0)
-    w, detail = _DISPATCH[prop](R, eidx)
+    w, detail = spec.check(R, eidx)
     if w is None:
         return PropertyVerdict(prop, R.provenance, elabel, "holds",
                                elapsed=time.perf_counter() - t0)
@@ -612,29 +598,16 @@ def check_property(R: RingTable, prop: str, e=None,
 def survey(R: RingTable, guards: Guards = DEFAULT_GUARDS,
            properties=None, idempotent=None) -> list:
     """All properties of R: global ones, then each relative property
-    at every nonzero idempotent (or just the one given)."""
-    props = [p.replace("-", "_") for p in properties] if properties else None
-    if props:
-        for p in props:
-            if p not in ALL_PROPS:
-                raise ValueError("unknown property %r" % p)
-    out = []
-    for p in (props or GLOBAL_PROPS):
-        if p in GLOBAL_PROPS:
-            out.append(check_property(R, p, None, guards))
-    wanted_e = [p for p in (props or E_PROPS) if p in E_PROPS]
+    at every nonzero idempotent (or just the one given).  Past a guard
+    each verdict is skipped on its own, one per idempotent."""
+    props = [_canonical(p) for p in properties] if properties else ALL_PROPS
+    out = [check_property(R, p, None, guards)
+           for p in props if not _PROPS[p].relative]
+    wanted_e = [p for p in props if _PROPS[p].relative]
     if not wanted_e:
         return out
     if idempotent is not None:
         es = [resolve_element(R, idempotent)]
-    elif R.order > guards.pair_cap:
-        # one skip marker per property beats one per idempotent here
-        for p in wanted_e:
-            out.append(PropertyVerdict(
-                p, R.provenance, None, "skipped",
-                reason="order %d exceeds the pair sweep guard %d"
-                       % (R.order, guards.pair_cap)))
-        return out
     else:
         es = [int(f) for f in idempotents(R) if f != R.zero]
     for f in es:
@@ -649,74 +622,7 @@ def replay_witness(R: RingTable, prop: str, e, witness) -> bool:
     True means the tuple really violates the property as stated; no
     sweeps are run, so this works on rings past the guard caps.
     """
-    prop = prop.replace("-", "_")
+    replay = _PROPS[_canonical(prop)].replay
     idx = [resolve_element(R, w) for w in witness]
     eidx = resolve_element(R, e) if e is not None else None
-    mul = R.mul
-    z = R.zero
-
-    def m(*xs):
-        acc = xs[0]
-        for x in xs[1:]:
-            acc = int(mul[acc, x])
-        return acc
-
-    if prop == "reversible":
-        a, b = idx
-        return m(a, b) == z and m(b, a) != z
-    if prop == "right_e_reversible":
-        a, b = idx
-        return m(a, b) == z and m(b, a, eidx) != z
-    if prop == "left_e_reversible":
-        a, b = idx
-        return m(a, b) == z and m(eidx, m(b, a)) != z
-    if prop == "symmetric":
-        a, b, c = idx
-        return m(a, b, c) == z and m(a, c, b) != z
-    if prop == "e_symmetric":
-        a, b, c = idx
-        return m(a, b, c) == z and m(a, c, b, eidx) != z
-    if prop == "semicommutative":
-        a, b, r = idx
-        return m(a, b) == z and m(a, r, b) != z
-    if prop == "right_e_semicommutative":
-        a, b, r = idx
-        return m(a, b) == z and m(a, r, b, eidx) != z
-    if prop == "left_e_semicommutative":
-        a, b, r = idx
-        return m(a, b) == z and m(eidx, m(a, r, b)) != z
-    if prop == "reduced":
-        (a,) = idx
-        return a != z and nilpotency_index(R, a) is not None
-    if prop == "right_e_reduced":
-        (a,) = idx
-        return nilpotency_index(R, a) is not None and m(a, eidx) != z
-    if prop == "left_e_reduced":
-        (a,) = idx
-        return nilpotency_index(R, a) is not None and m(eidx, a) != z
-    if prop == "reflexive":
-        a, b, r = idx
-        return (mul[mul[a, :], b] == z).all() and m(b, r, a) != z
-    if prop == "right_idempotent_reflexive":
-        h, f, r = idx
-        return (m(f, f) == f and (mul[mul[h, :], f] == z).all()
-                and m(f, r, h) != z)
-    if prop == "semiprime":
-        (a,) = idx
-        return a != z and (mul[mul[a, :], a] == z).all()
-    if prop == "prime":
-        a, b = idx
-        return a != z and b != z and (mul[mul[a, :], b] == z).all()
-    if prop == "domain":
-        a, b = idx
-        return a != z and b != z and m(a, b) == z
-    if prop == "abelian":
-        f, r = idx
-        return m(f, f) == f and m(f, r) != m(r, f)
-    if prop == "directly_finite":
-        a, b = idx
-        return m(a, b) == R.one and m(b, a) != R.one
-    if prop == "von_neumann_regular":
-        (a,) = idx
-        return not (mul[mul[a, :], a] == a).any()
-    raise ValueError("unknown property %r" % prop)
+    return bool(replay(R, eidx, *idx))

@@ -5,6 +5,7 @@ lines alongside the pass/fail verdicts.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import time
@@ -184,6 +185,9 @@ def test_criterion_09_determinism():
 
     first, second = laws_json(), laws_json()
     assert first == second
+    # the reference digest of `finring laws --format json`
+    assert hashlib.sha256(first.encode()).hexdigest() == (
+        "2b5e11577656ce7b6c3e7c058261d80cfd9536efcf27fc445a5c44e8c65d6370")
     data = json.loads(first)
     assert data["schema"] == "finring/1"
     report(9, "two consecutive law runs emit byte-identical machine "

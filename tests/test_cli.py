@@ -1,15 +1,37 @@
 """Exit codes, output schema and determinism of the command line."""
 
 import contextlib
+import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import finring
+import finring.cli as cli_mod
 from finring import build_expr, resolve_element
 from finring.cli import main
+
+# sha256 of stdout; the argv is echoed in the report, so it is part of
+# the pin
+SURVEY_DIGESTS = {
+    ("survey", "U(2,Z(3))", "--format", "json"):
+        "cfd23da7823d852a0b79ff3e447ac0f45327db5826844a6c505a1ea01d0a7193",
+    ("survey", "Z(6)", "--max-pair-order", "4", "--format", "json"):
+        "91bba6c56711b452d18be1a77bef9eee8952be195387df22ba49561d2f486624",
+}
+
+
+def _forbid(monkeypatch, *names):
+    """Make each named cli dependency fail loudly if it is reached."""
+    def reached(*a, **k):
+        raise AssertionError("expensive work before input validation")
+    for name in names:
+        monkeypatch.setattr(cli_mod, name, reached)
 
 
 def run(argv):
@@ -54,10 +76,25 @@ def test_parse_error_exits_two_with_position():
     assert "1:3" in err
 
 
-def test_unknown_property_exits_two():
-    code, _, err = run(["check", "Z(6)", "frobnitz"])
+def test_unknown_property_exits_two(monkeypatch):
+    _forbid(monkeypatch, "build_expr", "verify_axioms")
+    code, out, err = run(["check", "Z(6)", "frobnitz"])
     assert code == 2
+    assert out == ""
     assert "unknown property" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "Z(6)", "right_e_reversible"], "relative to an idempotent"),
+    (["check", "Z(6)", "reversible", "--e", "3"], "takes no idempotent"),
+])
+def test_idempotent_argument_is_checked_before_any_build(monkeypatch, argv,
+                                                         message):
+    _forbid(monkeypatch, "build_expr", "verify_axioms")
+    code, out, err = run(argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
 
 
 def test_non_idempotent_e_exits_two():
@@ -118,6 +155,13 @@ def test_survey_oversized_ring_marks_pair_skips():
         assert row["verdicts"]["e_symmetric"] == "holds"
 
 
+@pytest.mark.parametrize("argv", sorted(SURVEY_DIGESTS))
+def test_survey_json_bytes_are_pinned(argv):
+    code, out, _ = run(list(argv))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SURVEY_DIGESTS[argv]
+
+
 def test_describe_lists_structure():
     code, out, _ = run(["describe", "Z(4)", "--format", "json"])
     assert code == 0
@@ -151,9 +195,11 @@ def test_laws_missing_corpus_exits_two(tmp_path):
     assert code == 2
 
 
-def test_laws_unknown_law_exits_two():
-    code, _, err = run(["laws", "--law", "frobnitz"])
+def test_laws_unknown_law_exits_two(monkeypatch):
+    _forbid(monkeypatch, "default_corpus", "load_corpus")
+    code, out, err = run(["laws", "--law", "frobnitz"])
     assert code == 2
+    assert out == ""
     assert "unknown law" in err
 
 
@@ -182,9 +228,12 @@ def test_usage_error_exits_two():
 
 
 def test_module_entry_point():
+    # the child finds the package where this process found it
+    src = str(Path(finring.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "finring", "describe", "Z(6)"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert "Z(6)" in proc.stdout
 

@@ -237,7 +237,6 @@ def test_resolve_element_forms(rings):
     assert resolve_element(M, M.labels[i]) == i
     assert resolve_element(M, "#%d" % i) == i
     assert resolve_element(M, i) == i
-    assert resolve_element(M, M.element(i)) == i
     with pytest.raises(RingError):
         resolve_element(M, "#99")
     with pytest.raises(RingError, match="2x2"):

@@ -5,8 +5,8 @@ import json
 import pytest
 
 from finring import (
-    LAW_ORDER, ParseError, RingError, corpus_from_text, default_corpus,
-    load_corpus, replicate_examples, run_law, run_laws,
+    LAW_ORDER, Corpus, ParseError, RingError, corpus_from_text,
+    default_corpus, load_corpus, run_law, run_laws,
 )
 
 # totals pinned after a full engine pass over the shipped manifest; any
@@ -164,7 +164,8 @@ def test_load_corpus_from_file(tmp_path):
 
 
 def test_replicate_examples_standalone():
-    rep = replicate_examples()
+    # the pinned scenes build their own rings and need no corpus
+    rep = run_law("examples", Corpus("unused", []))
     assert rep.law == "examples"
     assert rep.totals["violated"] == 0
     assert rep.totals["holds"] == EXPECTED_TOTALS["examples"]["holds"]

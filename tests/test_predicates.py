@@ -1,11 +1,13 @@
 """Engine verdicts against the naive loops, plus witness behavior."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from finring import (
-    E_PROPS, GLOBAL_PROPS, Guards, RingError, build_expr, check_property,
+    ALL_PROPS, E_PROPS, GLOBAL_PROPS, Guards, RingError, build_expr, check_property,
     idempotents, is_left_min_abel, is_left_semicentral, is_right_semicentral,
     left_annihilator, minimal_left_idempotents, nilpotency_index, nilpotents,
     replay_witness, right_annihilator, survey,
@@ -15,8 +17,37 @@ import oracle
 from conftest import SMALL_RINGS
 
 
+# property -> (sweep guard class, witness arity), written out here
+# independently of the engine's property table
+SHAPES = {
+    "reduced": ("pair", 1),
+    "reversible": ("pair", 2),
+    "symmetric": ("triple", 3),
+    "semicommutative": ("triple", 3),
+    "reflexive": ("triple", 3),
+    "right_idempotent_reflexive": ("triple", 3),
+    "abelian": ("pair", 2),
+    "semiprime": ("pair", 1),
+    "prime": ("triple", 2),
+    "domain": ("pair", 2),
+    "directly_finite": ("pair", 2),
+    "von_neumann_regular": ("pair", 1),
+    "right_e_reversible": ("pair", 2),
+    "left_e_reversible": ("pair", 2),
+    "right_e_reduced": ("pair", 1),
+    "left_e_reduced": ("pair", 1),
+    "e_symmetric": ("triple", 3),
+    "right_e_semicommutative": ("triple", 3),
+    "left_e_semicommutative": ("triple", 3),
+}
+
+
 def nonzero_idempotents(R):
     return [e for e in oracle.naive_idempotents(R) if e != R.zero]
+
+
+def instances(R, prop):
+    return nonzero_idempotents(R) if prop in E_PROPS else [None]
 
 
 @pytest.mark.parametrize("text", SMALL_RINGS)
@@ -86,6 +117,42 @@ def test_witnesses_are_lexicographically_least():
     least_nilpotent = next(x for x in oracle.naive_nilpotents(Z8)
                            if oracle.mul(Z8, x, 1) != Z8.zero)
     assert v.witness[0] == least_nilpotent
+
+
+@pytest.mark.parametrize("prop", ALL_PROPS)
+def test_witness_is_the_least_replaying_tuple(rings, prop):
+    # a fails witness is the first tuple in lexicographic order that
+    # replays; a holds verdict has no replaying tuple at all (triples
+    # checked exhaustively only up to order 8)
+    arity = SHAPES[prop][1]
+    for text in SMALL_RINGS:
+        R = rings[text]
+        for e in instances(R, prop):
+            v = check_property(R, prop, e)
+            if v.status == "holds" and arity == 3 and R.order > 8:
+                continue
+            for w in itertools.product(range(R.order), repeat=arity):
+                replays = replay_witness(R, prop, e, w)
+                if v.status == "fails" and w == v.witness:
+                    assert replays
+                    break
+                assert not replays, "%s at e=%s in %s: %s replays" % (
+                    prop, e, text, w)
+            else:
+                assert v.status == "holds", (prop, e, text, v.witness)
+
+
+@pytest.mark.parametrize("prop", ALL_PROPS)
+def test_guard_class(rings, prop):
+    kind = SHAPES[prop][0]
+    other = "triple" if kind == "pair" else "pair"
+    R = rings["Z(6)"]
+    e = 3 if prop in E_PROPS else None
+    v = check_property(R, prop, e, Guards(**{kind + "_cap": 5}))
+    assert v.status == "skipped"
+    assert "%s sweep guard" % kind in v.reason
+    v = check_property(R, prop, e, Guards(**{other + "_cap": 5}))
+    assert v.status != "skipped"
 
 
 def test_verdict_rejects_bad_idempotent_input(rings):
