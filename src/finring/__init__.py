@@ -18,8 +18,8 @@ from .laws import (LAW_ORDER, Corpus, CorpusEntry, LawCase, LawReport,
                    corpus_from_text, default_corpus, load_corpus, run_law,
                    run_laws, select_laws)
 from .predicates import (ALL_PROPS, E_PROPS, GLOBAL_PROPS, PropertyVerdict,
-                         center, check_property, idempotents,
-                         is_left_min_abel, is_left_semicentral,
+                         center, check_property, distinguished_idempotent,
+                         idempotents, is_left_min_abel, is_left_semicentral,
                          is_right_semicentral, left_annihilator,
                          minimal_left_idempotents, nilpotency_index,
                          nilpotents, property_name, replay_witness,

@@ -19,9 +19,9 @@ from .expr import serialize
 from .laws import (LAW_ORDER, default_corpus, load_corpus, run_laws,
                    select_laws)
 from .predicates import (E_PROPS, GLOBAL_PROPS, center, check_property,
-                         idempotents, is_left_semicentral,
-                         is_right_semicentral, nilpotents, property_name,
-                         survey)
+                         distinguished_idempotent, idempotents,
+                         is_left_semicentral, is_right_semicentral,
+                         nilpotents, property_name, survey)
 
 SCHEMA = "finring/1"
 
@@ -81,6 +81,8 @@ def cmd_check(args) -> int:
     node = parse(args.expr)
     prop = property_name(args.property, args.e)    # before any build
     ring, canon = _build(args, node)
+    if args.e is not None:
+        distinguished_idempotent(ring, args.e)     # before the axiom check
     guards = _guards(args)
     axioms = _verify_note(ring, guards)
     verdict = check_property(ring, prop, args.e, guards)

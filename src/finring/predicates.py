@@ -20,7 +20,8 @@ from .construct import resolve_element
 
 __all__ = [
     "PropertyVerdict", "GLOBAL_PROPS", "E_PROPS", "ALL_PROPS",
-    "property_name", "check_property", "survey", "replay_witness",
+    "property_name", "distinguished_idempotent", "check_property", "survey",
+    "replay_witness",
     "idempotents", "nilpotents", "nilpotency_index", "center",
     "right_annihilator",
     "left_annihilator", "is_left_semicentral", "is_right_semicentral",
@@ -212,7 +213,7 @@ def _rev_min(R: RingTable) -> np.ndarray:
         n = R.order
         m = np.full(n, _SENTINEL, dtype=np.int64)
         A, B = zp[:, 0], zp[:, 1]
-        _group_min(R.mul[B, A].astype(np.int64), A * n + B, m)
+        _group_min(R.mul[B, A], A * n + B, m)
         R._cache["rev_min"] = m
     return m
 
@@ -233,7 +234,7 @@ def _scomm_cache(R: RingTable):
             A, B = zp[i0:i0 + step, 0], zp[i0:i0 + step, 1]
             ARB = R.mul[R.mul[A], B[:, None]]          # (a*r)*b over all r
             codes = ((A * n + B) * n)[:, None] + rcol[None, :]
-            _group_min(ARB.ravel().astype(np.int64), codes.ravel(), m)
+            _group_min(ARB.ravel(), codes.ravel(), m)
             relmask[i0:i0 + len(A)] = (ARB == R.zero).all(axis=1)
         c = (m, zp[relmask])
         R._cache["scomm"] = c
@@ -267,7 +268,7 @@ def _symm_min(R: RingTable) -> np.ndarray:
                 continue
             b = paircodes // n
             cc = paircodes % n
-            acb = mul[mul[a, cc], b].astype(np.int64)
+            acb = mul[mul[a, cc], b]
             bufv.append(acb)
             bufc.append(np.int64(a) * nn + paircodes)
             bufsize += len(paircodes)
@@ -560,6 +561,19 @@ def property_name(prop: str, e=None) -> str:
     return name
 
 
+def distinguished_idempotent(R: RingTable, e) -> int:
+    """Index of e in R, which must be a nonzero idempotent (RingError
+    otherwise).  Costs O(1) after resolving e, so callers check it
+    before any sweep."""
+    eidx = resolve_element(R, e)
+    if int(R.mul[eidx, eidx]) != eidx:
+        raise RingError("%s is not idempotent in %s"
+                        % (R.labels[eidx], R.provenance))
+    if eidx == R.zero:
+        raise RingError("the distinguished idempotent must be nonzero")
+    return eidx
+
+
 def check_property(R: RingTable, prop: str, e=None,
                    guards: Guards = DEFAULT_GUARDS) -> PropertyVerdict:
     """Exhaustively decide one property, possibly relative to e.
@@ -573,12 +587,7 @@ def check_property(R: RingTable, prop: str, e=None,
     eidx = None
     elabel = None
     if spec.relative:
-        eidx = resolve_element(R, e)
-        if int(R.mul[eidx, eidx]) != eidx:
-            raise RingError("%s is not idempotent in %s"
-                            % (R.labels[eidx], R.provenance))
-        if eidx == R.zero:
-            raise RingError("the distinguished idempotent must be nonzero")
+        eidx = distinguished_idempotent(R, e)
         elabel = R.labels[eidx]
     cap = guards.pair_cap if spec.kind == "pair" else guards.triple_cap
     if R.order > cap:

@@ -97,10 +97,20 @@ def test_idempotent_argument_is_checked_before_any_build(monkeypatch, argv,
     assert message in err
 
 
-def test_non_idempotent_e_exits_two():
-    code, _, err = run(["check", "Z(6)", "right_e_reversible", "--e", "2"])
-    assert code == 2
-    assert "not idempotent" in err
+def test_non_idempotent_e_exits_two(monkeypatch):
+    # rejected right after the build, before the axiom check
+    _forbid(monkeypatch, "verify_axioms")
+    for argv, message in [
+        (["check", "Z(6)", "right_e_reversible", "--e", "2"],
+         "not idempotent"),
+        (["check", "M(2,Z(2))", "e_symmetric", "--e", "[[0,1],[0,0]]"],
+         "not idempotent"),
+        (["check", "Z(6)", "left_e_reduced", "--e", "0"], "must be nonzero"),
+    ]:
+        code, out, err = run(argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
 
 
 def test_check_json_schema_and_witness_labels():

@@ -2,11 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from finring import (
     Guards, RingError, SizeGuardError, build_expr, build_ring, verify_axioms,
 )
+from finring import core
 from finring.core import table_dtype
+
+from conftest import SMALL_RINGS
 
 
 def _z4_tables():
@@ -100,6 +105,110 @@ def test_verify_axioms_respects_triple_guard():
     R = build_expr("Z(6)")
     with pytest.raises(SizeGuardError, match="too large"):
         verify_axioms(R, Guards(triple_cap=4))
+
+
+def test_fast_route_agrees_with_exhaustive_scan_on_the_corpus(corpus):
+    checked = [e.ring for e in corpus.rings()
+               if e.ring.order <= core.DEFAULT_GUARDS.triple_cap]
+    assert len(checked) >= 40
+    for R in checked:
+        assert verify_axioms(R) == core._exhaustive_report(R), R.provenance
+
+
+def _mutate_add(R, data):
+    # keeps what build_ring checks: the zero row and column, and exactly
+    # one zero per row.  Two Latin squares differ in at least four cells,
+    # so one to three changed cells leave + no group table, and with an
+    # identity and inverses that means + is not associative
+    add = R.add.copy()
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.sampled_from(
+            [x for x in range(R.order) if x != R.zero]))
+        j = data.draw(st.sampled_from(
+            [y for y in range(R.order) if y not in (R.zero, R.neg[i])]))
+        add[i, j] = data.draw(st.sampled_from(
+            [v for v in range(R.order) if v != R.zero]))
+    return add
+
+
+def _mutate_mul(R, data):
+    mul = R.mul.copy()
+    for _ in range(data.draw(st.integers(1, 3))):
+        i, j, v = (data.draw(st.integers(0, R.order - 1)) for _ in range(3))
+        mul[i, j] = v
+    return mul
+
+
+def _magma_closure(add, start):
+    reached = set(start)
+    while True:
+        sums = {int(add[x, y]) for x in reached for y in reached}
+        if sums <= reached:
+            return reached
+        reached |= sums
+
+
+@pytest.mark.parametrize("text, d", [
+    ("Z(8)", 1), ("M(2,Z(2))", 4), ("U(2,Z(3))", 3), ("M(2,Z(3))", 4),
+])
+def test_additive_generators_are_a_least_generating_set(text, d):
+    R = build_expr(text)
+    gens = core._additive_generators(R)
+    assert len(gens) == d
+    assert _magma_closure(R.add, gens + [R.zero]) == set(range(R.order))
+
+
+# (Z(2)^k, xor) has generators 1, 2, 4, ...; phi(y) = 2 when bits 1 and
+# 2 of y are set, else 0, so phi(y+1) = phi(y) + phi(1) for every y, yet
+# phi(2+4) != phi(2) + phi(4)
+_PHI = np.where(np.arange(8) & 6 == 6, 2, 0)
+
+
+@pytest.mark.parametrize("mul, axiom", [
+    (np.tile(_PHI, (8, 1)), "left_distributive"),
+    (np.tile(_PHI, (8, 1)).T, "right_distributive"),
+    # bilinear on Z(2)^2 from e1*x = 0, e2*e1 = e2, e2*e2 = e1, so only
+    # triples with the second generator 2 fail to associate
+    (np.array([[0, 0, 0, 0], [0, 0, 0, 0], [0, 2, 1, 3], [0, 2, 1, 3]]),
+     "mul_associative"),
+])
+def test_fast_route_checks_every_generator(mul, axiom):
+    n = len(mul)
+    add = np.bitwise_xor.outer(np.arange(n), np.arange(n))
+    R = build_ring(add, mul, 0, 1, [str(i) for i in range(n)])
+    assert core._additive_generators(R) == [1 << k for k in
+                                            range(n.bit_length() - 1)]
+    report = verify_axioms(R)
+    assert report == core._exhaustive_report(R)
+    assert axiom in [name for name, _ in report.violations]
+
+
+# Z(2) has no add cell that can change without breaking build_ring
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([t for t in SMALL_RINGS if t != "Z(2)"]),
+       st.sampled_from(["add", "mul", "both"]), st.data())
+def test_fast_route_agrees_with_exhaustive_scan_on_broken_tables(
+        rings, text, which, data):
+    R = rings[text]
+    add = _mutate_add(R, data) if which != "mul" else R.add
+    mul = _mutate_mul(R, data) if which != "add" else R.mul
+    B = build_ring(add, mul, R.zero, R.one, R.labels)
+    report = verify_axioms(B)
+    assert report == core._exhaustive_report(B)
+    assert _magma_closure(B.add, core._additive_generators(B) + [B.zero]) \
+        == set(range(B.order))
+    if which != "mul" and not np.array_equal(add, R.add):
+        assert "add_associative" in [name for name, _ in report.violations]
+
+
+@pytest.mark.parametrize("text", ["M(2,Z(3))", "U(3,Z(2))"])
+def test_passing_ring_never_runs_the_exhaustive_scan(monkeypatch, text):
+    R = build_expr(text)
+
+    def scan(*args):
+        raise AssertionError("exhaustive scan on a passing ring")
+    monkeypatch.setattr(core, "_first_triple_witness", scan)
+    assert verify_axioms(R).passed
 
 
 def test_table_dtype_boundary():
