@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import os
 import tempfile
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -19,9 +19,9 @@ from .core import (_CHUNK_CELLS, DEFAULT_GUARDS, Guards, RingError,
                    RingTable, SizeGuardError, build_ring, table_dtype)
 from .dsl import parse, parse_element
 from .expr import (AlgebraExpr, BracketList, CornerExpr, CosetLit,
-                   DorrohExpr, HExpr, HomTable, IntLit, KExpr, MatExpr,
-                   ProdExpr, QuotExpr, RawIndex, SubGens, TrsExpr,
-                   TupleLit, TwistExpr, ZExpr, serialize, serialize_elem)
+                   DorrohExpr, HExpr, IntLit, KExpr, MatExpr, ProdExpr,
+                   QuotExpr, RawIndex, TrsExpr, TupleLit, TwistExpr, ZExpr,
+                   serialize, serialize_elem)
 
 __all__ = [
     "zmod", "matrix_ring", "h_ring", "k_ring", "direct_product", "dorroh",
@@ -83,6 +83,31 @@ def _build_table(space: _CoordSpace, coord_fn, dtype) -> np.ndarray:
         rc = [c[:, None] for c in space.decompose(rows)]
         out[r0:r0 + len(rows)] = space.compose(coord_fn(rc, cc))
     return out
+
+
+def _mat_positions(kind: str, n: int):
+    """Free entry positions of an n x n matrix of kind, and the map
+    (i,j) -> index of the free coordinate held there, None for zero."""
+    if kind == "M":
+        free = [(i, j) for i in range(n) for j in range(n)]
+    elif kind == "U":
+        free = [(i, j) for i in range(n) for j in range(i, n)]
+    elif kind == "D":
+        free = [(0, 0)] + [(i, j) for i in range(n) for j in range(i + 1, n)]
+    elif kind == "V":
+        free = [(0, j) for j in range(n)]
+    else:
+        raise RingError("unknown matrix kind %r" % kind)
+
+    def coord(i, j):
+        if kind == "D" and i == j:
+            return 0
+        if kind == "V":
+            return j - i if j >= i else None
+        return free.index((i, j)) if (i, j) in free else None
+
+    entry = {(i, j): coord(i, j) for i in range(n) for j in range(n)}
+    return free, entry
 
 
 # ---------------------------------------------------------------------------
@@ -185,14 +210,14 @@ class RestrictedLayout:
 
 
 class MatrixLayout:
-    def __init__(self, base: RingTable, kind: str, n: int,
-                 free_positions, entry_map, space: _CoordSpace):
+    """n x n matrices over base shaped by kind (see matrix_ring)."""
+
+    def __init__(self, base: RingTable, kind: str, n: int):
         self.base = base
         self.kind = kind
         self.n = n
-        self.free_positions = free_positions
-        self.entry_map = entry_map        # (i,j) -> free coord index or None
-        self.space = space
+        self.free_positions, self.entry_map = _mat_positions(kind, n)
+        self.space = _CoordSpace([base.order] * len(self.free_positions))
 
     def _grid_labels(self, coords) -> str:
         z = self.base.labels[self.base.zero]
@@ -278,29 +303,6 @@ class HLayout:
         return self.space.compose_scalar((a, c, f))
 
 
-class TwistLayout:
-    """Upper triangular 2x2 pairs-plus-corner written [[a,b],[0,c]]."""
-
-    def __init__(self, base: RingTable, space: _CoordSpace):
-        self.base = base
-        self.space = space
-
-    def render(self, i: int) -> str:
-        a, b, c = self.space.decompose_scalar(i)
-        L = self.base.labels
-        return "[[%s,%s],[%s,%s]]" % (L[a], L[b], L[self.base.zero], L[c])
-
-    def encode(self, node) -> int:
-        if not (isinstance(node, BracketList) and len(node.items) == 2
-                and all(isinstance(r, BracketList) and len(r.items) == 2
-                        for r in node.items)):
-            raise RingError("expected a 2x2 matrix literal")
-        g = [[_encode_node(self.base, c) for c in row.items] for row in node.items]
-        if g[1][0] != self.base.zero:
-            raise RingError("entry (2,1) must be zero in this family")
-        return self.space.compose_scalar((g[0][0], g[0][1], g[1][1]))
-
-
 class QuotientLayout:
     def __init__(self, base: RingTable, reps: np.ndarray, proj: np.ndarray):
         self.base = base
@@ -340,56 +342,37 @@ class AlgebraLayout:
 # constructors
 
 
+def _coord_ring(space: _CoordSpace, layout, addfn, mulfn, zero, one,
+                prov: str, guards: Guards, tables) -> RingTable:
+    """Ring on the mixed-radix coordinates of space.
+
+    addfn and mulfn map row and column coordinates to output coordinates
+    (see _build_table); they run only when no cached tables are given.
+    zero and one are coordinate lists.
+    """
+    _guard_build(space.order, guards, prov)
+    labels = tuple(layout.render(i) for i in range(space.order))
+    if tables is None:
+        dt = table_dtype(space.order)
+        tables = (_build_table(space, addfn, dt), _build_table(space, mulfn, dt))
+    return build_ring(tables[0], tables[1], space.compose_scalar(zero),
+                      space.compose_scalar(one), labels, prov, layout)
+
+
+def _componentwise(tables):
+    """Coordinate function applying one base table per coordinate."""
+    return lambda rc, cc: [t[r, c] for t, r, c in zip(tables, rc, cc)]
+
+
 def zmod(n: int, guards: Guards = DEFAULT_GUARDS, provenance: str = None,
          tables=None) -> RingTable:
     """Integers mod n."""
     if n < 2:
         raise RingError("Z(n) needs n >= 2")
-    _guard_build(n, guards, "Z(%d)" % n)
-    prov = provenance or "Z(%d)" % n
-    labels = tuple(str(i) for i in range(n))
-    if tables is None:
-        dt = table_dtype(n)
-        add = np.empty((n, n), dtype=dt)
-        mul = np.empty((n, n), dtype=dt)
-        cols = np.arange(n, dtype=np.int64)
-        step = max(1, _CHUNK_CELLS // n)
-        for r0 in range(0, n, step):
-            rows = np.arange(r0, min(n, r0 + step), dtype=np.int64)[:, None]
-            add[r0:r0 + rows.shape[0]] = (rows + cols) % n
-            mul[r0:r0 + rows.shape[0]] = (rows * cols) % n
-        tables = (add, mul)
-    return build_ring(tables[0], tables[1], 0, 1 % n, labels, prov, ZmodLayout(n))
-
-
-def _mat_positions(kind: str, n: int):
-    if kind == "M":
-        free = [(i, j) for i in range(n) for j in range(n)]
-    elif kind == "U":
-        free = [(i, j) for i in range(n) for j in range(i, n)]
-    elif kind == "D":
-        free = [(0, 0)] + [(i, j) for i in range(n) for j in range(i + 1, n)]
-    elif kind == "V":
-        free = [(0, j) for j in range(n)]
-    else:
-        raise RingError("unknown matrix kind %r" % kind)
-    entry = {}
-    for i in range(n):
-        for j in range(n):
-            if kind == "M":
-                entry[(i, j)] = free.index((i, j))
-            elif kind == "U":
-                entry[(i, j)] = free.index((i, j)) if i <= j else None
-            elif kind == "D":
-                if i == j:
-                    entry[(i, j)] = 0
-                elif i < j:
-                    entry[(i, j)] = free.index((i, j))
-                else:
-                    entry[(i, j)] = None
-            else:
-                entry[(i, j)] = j - i if j >= i else None
-    return free, entry
+    return _coord_ring(_CoordSpace([n]), ZmodLayout(n),
+                       lambda rc, cc: [(rc[0] + cc[0]) % n],
+                       lambda rc, cc: [(rc[0] * cc[0]) % n],
+                       [0], [1], provenance or "Z(%d)" % n, guards, tables)
 
 
 def matrix_ring(kind: str, n: int, base: RingTable,
@@ -403,38 +386,29 @@ def matrix_ring(kind: str, n: int, base: RingTable,
     """
     if n < 1:
         raise RingError("matrix size must be >= 1")
-    free, entry = _mat_positions(kind, n)
-    space = _CoordSpace([base.order] * len(free))
-    prov = provenance or "%s(%d,%s)" % (kind, n, base.provenance)
-    _guard_build(space.order, guards, prov)
-    layout = MatrixLayout(base, kind, n, free, entry, space)
-    labels = tuple(layout.render(i) for i in range(space.order))
+    layout = MatrixLayout(base, kind, n)
+    free, entry = layout.free_positions, layout.entry_map
     badd, bmul = base.add, base.mul
-    if tables is None:
-        add = _build_table(space, lambda rc, cc:
-                           [badd[r, c] for r, c in zip(rc, cc)],
-                           table_dtype(space.order))
 
-        def mulfn(rc, cc):
-            outs = []
-            for (i, j) in free:
-                acc = None
-                for k in range(n):
-                    a = entry[(i, k)]
-                    b = entry[(k, j)]
-                    if a is None or b is None:
-                        continue
-                    term = bmul[rc[a], cc[b]]
-                    acc = term if acc is None else badd[acc, term]
-                outs.append(acc)
-            return outs
+    def mulfn(rc, cc):
+        outs = []
+        for (i, j) in free:
+            acc = None
+            for k in range(n):
+                a = entry[(i, k)]
+                b = entry[(k, j)]
+                if a is None or b is None:
+                    continue
+                term = bmul[rc[a], cc[b]]
+                acc = term if acc is None else badd[acc, term]
+            outs.append(acc)
+        return outs
 
-        mul = _build_table(space, mulfn, table_dtype(space.order))
-        tables = (add, mul)
-    zero = space.compose_scalar([base.zero] * len(free))
-    one = space.compose_scalar([base.one if i == j else base.zero
-                                for (i, j) in free])
-    return build_ring(tables[0], tables[1], zero, one, labels, prov, layout)
+    return _coord_ring(layout.space, layout, _componentwise([badd] * len(free)),
+                       mulfn, [base.zero] * len(free),
+                       [base.one if i == j else base.zero for (i, j) in free],
+                       provenance or "%s(%d,%s)" % (kind, n, base.provenance),
+                       guards, tables)
 
 
 def _require_central(base: RingTable, x: int, what: str):
@@ -453,30 +427,21 @@ def h_ring(base: RingTable, s, t, guards: Guards = DEFAULT_GUARDS,
     space = _CoordSpace([base.order] * 3)
     prov = provenance or "H(%s,%s,%s)" % (base.provenance, base.labels[s],
                                           base.labels[t])
-    _guard_build(space.order, guards, prov)
-    layout = HLayout(base, s, t, space)
-    labels = tuple(layout.render(i) for i in range(space.order))
     badd, bmul, bneg = base.add, base.mul, base.neg
-    if tables is None:
-        add = _build_table(space, lambda rc, cc:
-                           [badd[r, c] for r, c in zip(rc, cc)],
-                           table_dtype(space.order))
 
-        def mulfn(rc, cc):
-            a, c, f = rc
-            x, y, u = cc
-            d = badd[a, bneg[bmul[s, c]]]
-            z = badd[x, bneg[bmul[s, y]]]
-            v = badd[z, bneg[bmul[t, u]]]
-            return [bmul[a, x],
-                    badd[bmul[c, x], bmul[d, y]],
-                    badd[bmul[d, u], bmul[f, v]]]
+    def mulfn(rc, cc):
+        a, c, f = rc
+        x, y, u = cc
+        d = badd[a, bneg[bmul[s, c]]]
+        z = badd[x, bneg[bmul[s, y]]]
+        v = badd[z, bneg[bmul[t, u]]]
+        return [bmul[a, x],
+                badd[bmul[c, x], bmul[d, y]],
+                badd[bmul[d, u], bmul[f, v]]]
 
-        mul = _build_table(space, mulfn, table_dtype(space.order))
-        tables = (add, mul)
-    zero = space.compose_scalar([base.zero] * 3)
-    one = space.compose_scalar([base.one, base.zero, base.zero])
-    return build_ring(tables[0], tables[1], zero, one, labels, prov, layout)
+    return _coord_ring(space, HLayout(base, s, t, space),
+                       _componentwise([badd] * 3), mulfn, [base.zero] * 3,
+                       [base.one, base.zero, base.zero], prov, guards, tables)
 
 
 def k_ring(base: RingTable, s, guards: Guards = DEFAULT_GUARDS,
@@ -486,50 +451,32 @@ def k_ring(base: RingTable, s, guards: Guards = DEFAULT_GUARDS,
     s = resolve_element(base, s)
     _require_central(base, s, "pairing parameter")
     space = _CoordSpace([base.order] * 4)
-    prov = provenance or "K(%s,%s)" % (base.provenance, base.labels[s])
-    _guard_build(space.order, guards, prov)
-    layout = TupleLayout([base] * 4, space)
-    labels = tuple(layout.render(i) for i in range(space.order))
     badd, bmul = base.add, base.mul
-    if tables is None:
-        add = _build_table(space, lambda rc, cc:
-                           [badd[r, c] for r, c in zip(rc, cc)],
-                           table_dtype(space.order))
 
-        def mulfn(rc, cc):
-            a1, x1, y1, b1 = rc
-            a2, x2, y2, b2 = cc
-            return [badd[bmul[a1, a2], bmul[s, bmul[x1, y2]]],
-                    badd[bmul[a1, x2], bmul[x1, b2]],
-                    badd[bmul[y1, a2], bmul[b1, y2]],
-                    badd[bmul[s, bmul[y1, x2]], bmul[b1, b2]]]
+    def mulfn(rc, cc):
+        a1, x1, y1, b1 = rc
+        a2, x2, y2, b2 = cc
+        return [badd[bmul[a1, a2], bmul[s, bmul[x1, y2]]],
+                badd[bmul[a1, x2], bmul[x1, b2]],
+                badd[bmul[y1, a2], bmul[b1, y2]],
+                badd[bmul[s, bmul[y1, x2]], bmul[b1, b2]]]
 
-        mul = _build_table(space, mulfn, table_dtype(space.order))
-        tables = (add, mul)
-    zero = space.compose_scalar([base.zero] * 4)
-    one = space.compose_scalar([base.one, base.zero, base.zero, base.one])
-    return build_ring(tables[0], tables[1], zero, one, labels, prov, layout)
+    return _coord_ring(space, TupleLayout([base] * 4, space),
+                       _componentwise([badd] * 4), mulfn, [base.zero] * 4,
+                       [base.one, base.zero, base.zero, base.one],
+                       provenance or "K(%s,%s)" % (base.provenance,
+                                                   base.labels[s]),
+                       guards, tables)
 
 
 def _tuple_ring(comps: Sequence[RingTable], guards: Guards, prov: str,
                 tables=None) -> RingTable:
     space = _CoordSpace([c.order for c in comps])
-    _guard_build(space.order, guards, prov)
-    layout = TupleLayout(comps, space)
-    labels = tuple(layout.render(i) for i in range(space.order))
-    if tables is None:
-        adds = [c.add for c in comps]
-        muls = [c.mul for c in comps]
-        add = _build_table(space, lambda rc, cc:
-                           [t[r, c] for t, r, c in zip(adds, rc, cc)],
-                           table_dtype(space.order))
-        mul = _build_table(space, lambda rc, cc:
-                           [t[r, c] for t, r, c in zip(muls, rc, cc)],
-                           table_dtype(space.order))
-        tables = (add, mul)
-    zero = space.compose_scalar([c.zero for c in comps])
-    one = space.compose_scalar([c.one for c in comps])
-    return build_ring(tables[0], tables[1], zero, one, labels, prov, layout)
+    return _coord_ring(space, TupleLayout(comps, space),
+                       _componentwise([c.add for c in comps]),
+                       _componentwise([c.mul for c in comps]),
+                       [c.zero for c in comps], [c.one for c in comps],
+                       prov, guards, tables)
 
 
 def direct_product(factors: Sequence[RingTable], guards: Guards = DEFAULT_GUARDS,
@@ -541,22 +488,27 @@ def direct_product(factors: Sequence[RingTable], guards: Guards = DEFAULT_GUARDS
     return _tuple_ring(list(factors), guards, prov, tables)
 
 
-def subring(R: RingTable, gens) -> np.ndarray:
-    """Closure of gens together with 0 and 1, as sorted indices."""
+def _closure(R: RingTable, seeds, products) -> np.ndarray:
+    """Grow {0} and seeds until closed under + and the index arrays
+    products(members) returns; sorted indices."""
     mask = np.zeros(R.order, dtype=bool)
     mask[R.zero] = True
-    mask[R.one] = True
-    for g in gens:
+    for g in seeds:
         mask[resolve_element(R, g)] = True
     while True:
         m = np.flatnonzero(mask)
-        reach = np.union1d(R.add[np.ix_(m, m)].ravel(),
-                           R.mul[np.ix_(m, m)].ravel())
         grown = mask.copy()
-        grown[reach] = True
+        grown[R.add[np.ix_(m, m)]] = True
+        for p in products(m):
+            grown[p] = True
         if np.array_equal(grown, mask):
             return m
         mask = grown
+
+
+def subring(R: RingTable, gens) -> np.ndarray:
+    """Closure of gens together with 0 and 1, as sorted indices."""
+    return _closure(R, [R.one, *gens], lambda m: [R.mul[np.ix_(m, m)]])
 
 
 def sub_ring_table(R: RingTable, members: np.ndarray,
@@ -589,37 +541,26 @@ def dorroh(base: RingTable, gens, guards: Guards = DEFAULT_GUARDS,
            provenance: str = None, tables=None) -> RingTable:
     """Pairs (a, b) with b in the subring generated by gens; the
     product is (a,b)(c,d) = (ac + ad + bc, bd) and the identity (0,1)."""
-    members = subring(base, gens)
-    posmap = np.full(base.order, -1, dtype=np.int64)
-    posmap[members] = np.arange(len(members))
-    S = _restricted_ring(base, members, base.one, base.provenance + "|sub",
-                         "subring")
+    S = sub_ring_table(base, subring(base, gens))
+    members, posmap = S.layout.members, S.layout.posmap
     prov = provenance or "dorroh(%s,sub[%s])" % (
         base.provenance, ",".join(base.labels[resolve_element(base, g)]
                                   for g in gens))
-    space = _CoordSpace([base.order, len(members)])
-    _guard_build(space.order, guards, prov)
-    layout = TupleLayout([base, S], space)
-    labels = tuple(layout.render(i) for i in range(space.order))
+    space = _CoordSpace([base.order, S.order])
     badd, bmul = base.add, base.mul
-    if tables is None:
-        add = _build_table(space, lambda rc, cc:
-                           [badd[rc[0], cc[0]], S.add[rc[1], cc[1]]],
-                           table_dtype(space.order))
 
-        def mulfn(rc, cc):
-            a, bpos = rc
-            c, dpos = cc
-            b = members[bpos]
-            d = members[dpos]
-            first = badd[badd[bmul[a, c], bmul[a, d]], bmul[b, c]]
-            return [first, posmap[bmul[b, d]]]
+    def mulfn(rc, cc):
+        a, bpos = rc
+        c, dpos = cc
+        b = members[bpos]
+        d = members[dpos]
+        first = badd[badd[bmul[a, c], bmul[a, d]], bmul[b, c]]
+        return [first, posmap[bmul[b, d]]]
 
-        mul = _build_table(space, mulfn, table_dtype(space.order))
-        tables = (add, mul)
-    zero = space.compose_scalar([base.zero, posmap[base.zero]])
-    one = space.compose_scalar([base.zero, posmap[base.one]])
-    return build_ring(tables[0], tables[1], zero, one, labels, prov, layout)
+    return _coord_ring(space, TupleLayout([base, S], space),
+                       _componentwise([badd, S.add]), mulfn,
+                       [base.zero, S.zero], [base.zero, S.one],
+                       prov, guards, tables)
 
 
 def _validate_hom(base: RingTable, images: np.ndarray):
@@ -646,30 +587,21 @@ def twisted_u2(base: RingTable, images, guards: Guards = DEFAULT_GUARDS,
     images = np.asarray([resolve_element(base, im) for im in images],
                         dtype=np.int64)
     _validate_hom(base, images)
-    space = _CoordSpace([base.order] * 3)
     prov = provenance or "twist(%s,hom[%s])" % (
         base.provenance, ",".join("#%d" % i for i in images))
-    _guard_build(space.order, guards, prov)
-    layout = TwistLayout(base, space)
-    labels = tuple(layout.render(i) for i in range(space.order))
+    layout = MatrixLayout(base, "U", 2)
     badd, bmul = base.add, base.mul
-    if tables is None:
-        add = _build_table(space, lambda rc, cc:
-                           [badd[r, c] for r, c in zip(rc, cc)],
-                           table_dtype(space.order))
 
-        def mulfn(rc, cc):
-            a, b, c = rc
-            x, y, z = cc
-            return [bmul[a, x],
-                    badd[bmul[a, y], bmul[b, images[z]]],
-                    bmul[c, z]]
+    def mulfn(rc, cc):
+        a, b, c = rc
+        x, y, z = cc
+        return [bmul[a, x],
+                badd[bmul[a, y], bmul[b, images[z]]],
+                bmul[c, z]]
 
-        mul = _build_table(space, mulfn, table_dtype(space.order))
-        tables = (add, mul)
-    zero = space.compose_scalar([base.zero] * 3)
-    one = space.compose_scalar([base.one, base.zero, base.one])
-    return build_ring(tables[0], tables[1], zero, one, labels, prov, layout)
+    return _coord_ring(layout.space, layout, _componentwise([badd] * 3),
+                       mulfn, [base.zero] * 3, [base.one, base.zero, base.one],
+                       prov, guards, tables)
 
 
 def trs(base: RingTable, gens, n: int, guards: Guards = DEFAULT_GUARDS,
@@ -678,9 +610,7 @@ def trs(base: RingTable, gens, n: int, guards: Guards = DEFAULT_GUARDS,
     the subring generated by gens; all operations componentwise."""
     if n < 0:
         raise RingError("tuple count must be >= 0")
-    members = subring(base, gens)
-    S = _restricted_ring(base, members, base.one, base.provenance + "|sub",
-                         "subring")
+    S = sub_ring_table(base, subring(base, gens))
     prov = provenance or "trs(%s,sub[%s],%d)" % (
         base.provenance, ",".join(base.labels[resolve_element(base, g)]
                                   for g in gens), n)
@@ -689,20 +619,7 @@ def trs(base: RingTable, gens, n: int, guards: Guards = DEFAULT_GUARDS,
 
 def ideal_closure(R: RingTable, gens) -> np.ndarray:
     """Smallest two-sided ideal containing gens, as sorted indices."""
-    mask = np.zeros(R.order, dtype=bool)
-    mask[R.zero] = True
-    for g in gens:
-        mask[resolve_element(R, g)] = True
-    while True:
-        m = np.flatnonzero(mask)
-        reach = np.unique(np.concatenate([R.add[np.ix_(m, m)].ravel(),
-                                          R.mul[:, m].ravel(),
-                                          R.mul[m, :].ravel()]))
-        grown = mask.copy()
-        grown[reach] = True
-        if np.array_equal(grown, mask):
-            return m
-        mask = grown
+    return _closure(R, gens, lambda m: [R.mul[:, m], R.mul[m, :]])
 
 
 def is_ideal(R: RingTable, members) -> bool:

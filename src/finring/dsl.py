@@ -1,19 +1,18 @@
 """Parser for the ring-construction expression language.
 
 Text like ``U(2,Z(3))`` or ``dorroh(Z(2),sub[1])`` parses to the AST
-nodes in expr.py; serialize() over there is the inverse.  Element
-literals (integers, #raw indices, bracketed matrices, tuples, coset
-``x+I`` forms) share one grammar so ring labels parse back as elements.
+nodes in expr.py, by the signatures in expr.CONSTRUCTORS; serialize()
+over there is the inverse.  Element literals (integers, #raw indices,
+bracketed matrices, tuples, coset ``x+I`` forms) share one grammar so
+ring labels parse back as elements.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List
 
-from .expr import (AlgebraExpr, BracketList, CornerExpr, CosetLit,
-                   DorrohExpr, HExpr, HomTable, IntLit, KExpr, MatExpr,
-                   ProdExpr, QuotExpr, RawIndex, SubGens, TrsExpr,
-                   TupleLit, TwistExpr, ZExpr)
+from .expr import (CONSTRUCTORS, TAGGED, BracketList, CosetLit, IntLit,
+                   RawIndex, TupleLit)
 
 __all__ = ["ParseError", "parse", "parse_element"]
 
@@ -162,170 +161,53 @@ class _Parser:
         if t.kind != "ident":
             self.fail("expected a ring constructor, found %r"
                       % (t.text or "end of input"))
-        name = t.text
-        handler = _RING_HANDLERS.get(name)
-        if handler is None:
-            self.fail("unknown constructor %r" % name)
+        sig = CONSTRUCTORS.get(t.text)
+        if sig is None:
+            self.fail("unknown constructor %r" % t.text)
         self.next()
-        return handler(self)
+        self.expect("(")
+        values = []
+        written = 0
+        for kind in sig.args:
+            if kind == "name":
+                values.append(t.text)
+                continue
+            if kind in _AT_LEAST:
+                # each item follows a comma, except a leading first one
+                items = [self.arg(kind)] if written == 0 else []
+                while self.peek().kind == ",":
+                    self.next()
+                    items.append(self.arg(kind))
+                values.append(tuple(items))
+            else:
+                if written:
+                    self.expect(",")
+                values.append(self.arg(kind))
+            written += 1
+        self.expect(")")
+        for kind, value in zip(sig.args, values):
+            if kind in _AT_LEAST and len(value) < _AT_LEAST[kind][0]:
+                self.fail("%s needs at least %s" % (t.text, _AT_LEAST[kind][1]))
+        return sig.node(*values)
 
-    def sub_gens(self) -> SubGens:
+    def arg(self, kind: str):
+        if kind == "int":
+            return self.expect_int()
+        if kind in ("ring", "rings"):
+            return self.ring()
+        if kind in ("elem", "elems"):
+            return self.element()
+        if kind == "list":
+            return self.bracket_list()
+        cls, _ = TAGGED[kind]
         t = self.expect("ident")
-        if t.text != "sub":
-            raise ParseError("expected 'sub[...]'", t.line, t.col)
-        self.expect("[")
-        gens = []
-        if self.peek().kind != "]":
-            gens.append(self.element())
-            while self.peek().kind == ",":
-                self.next()
-                gens.append(self.element())
-        self.expect("]")
-        return SubGens(tuple(gens))
-
-    def hom_table(self) -> HomTable:
-        t = self.expect("ident")
-        if t.text != "hom":
-            raise ParseError("expected 'hom[...]'", t.line, t.col)
-        self.expect("[")
-        images = []
-        if self.peek().kind != "]":
-            images.append(self.element())
-            while self.peek().kind == ",":
-                self.next()
-                images.append(self.element())
-        self.expect("]")
-        return HomTable(tuple(images))
+        if t.text != kind:
+            raise ParseError("expected '%s[...]'" % kind, t.line, t.col)
+        return cls(self.bracket_list().items)
 
 
-def _h_Z(p: _Parser):
-    p.expect("(")
-    n = p.expect_int()
-    p.expect(")")
-    return ZExpr(n)
-
-
-def _h_mat(kind):
-    def h(p: _Parser):
-        p.expect("(")
-        n = p.expect_int()
-        p.expect(",")
-        base = p.ring()
-        p.expect(")")
-        return MatExpr(kind, n, base)
-    return h
-
-
-def _h_H(p: _Parser):
-    p.expect("(")
-    base = p.ring()
-    p.expect(",")
-    s = p.element()
-    p.expect(",")
-    t = p.element()
-    p.expect(")")
-    return HExpr(base, s, t)
-
-
-def _h_K(p: _Parser):
-    p.expect("(")
-    base = p.ring()
-    p.expect(",")
-    s = p.element()
-    p.expect(")")
-    return KExpr(base, s)
-
-
-def _h_prod(p: _Parser):
-    p.expect("(")
-    factors = [p.ring()]
-    while p.peek().kind == ",":
-        p.next()
-        factors.append(p.ring())
-    p.expect(")")
-    if len(factors) < 2:
-        p.fail("prod needs at least two factors")
-    return ProdExpr(tuple(factors))
-
-
-def _h_dorroh(p: _Parser):
-    p.expect("(")
-    base = p.ring()
-    p.expect(",")
-    sub = p.sub_gens()
-    p.expect(")")
-    return DorrohExpr(base, sub)
-
-
-def _h_quot(p: _Parser):
-    p.expect("(")
-    base = p.ring()
-    gens = []
-    while p.peek().kind == ",":
-        p.next()
-        gens.append(p.element())
-    p.expect(")")
-    if not gens:
-        p.fail("quot needs at least one ideal generator")
-    return QuotExpr(base, tuple(gens))
-
-
-def _h_corner(p: _Parser):
-    p.expect("(")
-    base = p.ring()
-    p.expect(",")
-    e = p.element()
-    p.expect(")")
-    return CornerExpr(base, e)
-
-
-def _h_twist(p: _Parser):
-    p.expect("(")
-    base = p.ring()
-    p.expect(",")
-    hom = p.hom_table()
-    p.expect(")")
-    return TwistExpr(base, hom)
-
-
-def _h_trs(p: _Parser):
-    p.expect("(")
-    base = p.ring()
-    p.expect(",")
-    sub = p.sub_gens()
-    p.expect(",")
-    n = p.expect_int()
-    p.expect(")")
-    return TrsExpr(base, sub, n)
-
-
-def _h_algebra(p: _Parser):
-    p.expect("(")
-    prime = p.expect_int()
-    p.expect(",")
-    dim = p.expect_int()
-    p.expect(",")
-    consts = p.bracket_list()
-    p.expect(")")
-    return AlgebraExpr(prime, dim, consts)
-
-
-_RING_HANDLERS = {
-    "Z": _h_Z,
-    "M": _h_mat("M"),
-    "U": _h_mat("U"),
-    "D": _h_mat("D"),
-    "V": _h_mat("V"),
-    "H": _h_H,
-    "K": _h_K,
-    "prod": _h_prod,
-    "dorroh": _h_dorroh,
-    "quot": _h_quot,
-    "corner": _h_corner,
-    "twist": _h_twist,
-    "trs": _h_trs,
-    "algebra": _h_algebra,
-}
+# variadic argument kinds: the least item count and how to say it
+_AT_LEAST = {"rings": (2, "two factors"), "elems": (1, "one ideal generator")}
 
 
 def parse(text: str):

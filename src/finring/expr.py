@@ -1,14 +1,16 @@
 """AST node types for ring expressions and element literals.
 
-Pure data: no parsing and no table construction here.  The parser in
-`dsl` produces these nodes, the builders in `construct` consume them,
-and `serialize`/`serialize_elem` render the canonical text form (no
-whitespace, stable argument order) used for provenance strings.
+Pure data: no parsing and no table construction here.  CONSTRUCTORS
+declares each constructor's name and argument kinds once: the parser in
+`dsl` reads it to produce these nodes, and `serialize` reads it to
+render the canonical text form (no whitespace, stable argument order)
+used for provenance strings.  The builders in `construct` consume the
+nodes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Union
+from dataclasses import dataclass, fields
+from typing import NamedTuple, Union
 
 
 # ---------------------------------------------------------------- literals
@@ -169,35 +171,73 @@ def serialize_elem(node: ElemNode) -> str:
     raise TypeError("not an element literal: %r" % (node,))
 
 
-def _ser_sub(s: SubGens) -> str:
-    return "sub[" + ",".join(serialize_elem(g) for g in s.gens) + "]"
+# ------------------------------------------------------ constructor table
+
+class Signature(NamedTuple):
+    node: type
+    args: tuple
+
+
+# The grammar of ring expressions: constructor name -> node class and the
+# kind of each node field, in field order.  Kinds: 'name' (the
+# constructor's own name, not written as an argument), 'int', 'ring',
+# 'elem', 'list' (a bracket list), 'sub' and 'hom' (tagged bracket lists
+# 'sub[...]' and 'hom[...]'), 'rings' (two or more rings) and 'elems'
+# (one or more elements).  dsl parses and serialize renders from it.
+CONSTRUCTORS = {
+    "Z": Signature(ZExpr, ("int",)),
+    "M": Signature(MatExpr, ("name", "int", "ring")),
+    "U": Signature(MatExpr, ("name", "int", "ring")),
+    "D": Signature(MatExpr, ("name", "int", "ring")),
+    "V": Signature(MatExpr, ("name", "int", "ring")),
+    "H": Signature(HExpr, ("ring", "elem", "elem")),
+    "K": Signature(KExpr, ("ring", "elem")),
+    "prod": Signature(ProdExpr, ("rings",)),
+    "dorroh": Signature(DorrohExpr, ("ring", "sub")),
+    "quot": Signature(QuotExpr, ("ring", "elems")),
+    "corner": Signature(CornerExpr, ("ring", "elem")),
+    "twist": Signature(TwistExpr, ("ring", "hom")),
+    "trs": Signature(TrsExpr, ("ring", "sub", "int")),
+    "algebra": Signature(AlgebraExpr, ("int", "int", "list")),
+}
+
+# tagged argument kinds: tag -> (node class, its field of items)
+TAGGED = {"sub": (SubGens, "gens"), "hom": (HomTable, "images")}
+
+# node class -> (name, argument kinds, field names); a 'name' field
+# overrides the name
+_BY_NODE = {sig.node: (name, sig.args, tuple(f.name for f in fields(sig.node)))
+            for name, sig in CONSTRUCTORS.items()}
+
+
+def _ser_tagged(tag):
+    field_name = TAGGED[tag][1]
+    return lambda v: tag + serialize_elem(BracketList(getattr(v, field_name)))
+
+
+_SER_ARG = {
+    "int": lambda v: "%d" % v,
+    "ring": lambda v: serialize(v),
+    "elem": serialize_elem,
+    "list": serialize_elem,
+    "sub": _ser_tagged("sub"),
+    "hom": _ser_tagged("hom"),
+    "rings": lambda v: ",".join(serialize(f) for f in v),
+    "elems": lambda v: ",".join(serialize_elem(g) for g in v),
+}
 
 
 def serialize(node: RingExpr) -> str:
     """Canonical text of a ring expression (whitespace-free)."""
-    if isinstance(node, ZExpr):
-        return "Z(%d)" % node.n
-    if isinstance(node, MatExpr):
-        return "%s(%d,%s)" % (node.kind, node.n, serialize(node.base))
-    if isinstance(node, HExpr):
-        return "H(%s,%s,%s)" % (serialize(node.base),
-                                serialize_elem(node.s), serialize_elem(node.t))
-    if isinstance(node, KExpr):
-        return "K(%s,%s)" % (serialize(node.base), serialize_elem(node.s))
-    if isinstance(node, ProdExpr):
-        return "prod(" + ",".join(serialize(f) for f in node.factors) + ")"
-    if isinstance(node, DorrohExpr):
-        return "dorroh(%s,%s)" % (serialize(node.base), _ser_sub(node.sub))
-    if isinstance(node, QuotExpr):
-        parts = [serialize(node.base)] + [serialize_elem(g) for g in node.gens]
-        return "quot(" + ",".join(parts) + ")"
-    if isinstance(node, CornerExpr):
-        return "corner(%s,%s)" % (serialize(node.base), serialize_elem(node.e))
-    if isinstance(node, TwistExpr):
-        imgs = ",".join(serialize_elem(i) for i in node.hom.images)
-        return "twist(%s,hom[%s])" % (serialize(node.base), imgs)
-    if isinstance(node, TrsExpr):
-        return "trs(%s,%s,%d)" % (serialize(node.base), _ser_sub(node.sub), node.n)
-    if isinstance(node, AlgebraExpr):
-        return "algebra(%d,%d,%s)" % (node.p, node.d, serialize_elem(node.consts))
-    raise TypeError("not a ring expression: %r" % (node,))
+    sig = _BY_NODE.get(type(node))
+    if sig is None:
+        raise TypeError("not a ring expression: %r" % (node,))
+    name, kinds, names = sig
+    args = []
+    for kind, field_name in zip(kinds, names):
+        value = getattr(node, field_name)
+        if kind == "name":
+            name = value
+        else:
+            args.append(_SER_ARG[kind](value))
+    return "%s(%s)" % (name, ",".join(args))

@@ -17,9 +17,9 @@ import numpy as np
 from .core import DEFAULT_GUARDS, Guards, RingError, RingTable, SizeGuardError
 from .core import verify_axioms
 from .construct import (build_expr, corner, is_ideal, quotient,
-                        resolve_element, subring)
+                        resolve_element)
 from .dsl import ParseError, parse
-from .expr import DorrohExpr, HExpr, ProdExpr, QuotExpr, TwistExpr, serialize
+from .expr import DorrohExpr, HExpr, ProdExpr, QuotExpr, TwistExpr
 from .predicates import (center, check_property, idempotents,
                          is_left_min_abel, is_left_semicentral,
                          is_right_semicentral, minimal_left_idempotents,
@@ -378,7 +378,7 @@ def _law_products(corpus, guards):
         if P.order > guards.pair_cap:
             cases.append(_pair_skip("products", P, guards))
             continue
-        F = [build_expr(f, guards) for f in ent.node.factors]
+        F = P.layout.comps
         space = P.layout.space
         for e1 in _nz_idem(F[0]):
             v1 = _ok(F[0], "right_e_reversible", e1, guards)
@@ -405,7 +405,7 @@ def _law_quotient_lift(corpus, guards):
         if not isinstance(ent.node, QuotExpr):
             continue
         Q = ent.ring
-        base = build_expr(ent.node.base, guards)
+        base = Q.layout.base
         I = Q._cache["ideal"]
         proj = Q._cache["projection"]
         sq = [int(x) for x in I
@@ -524,10 +524,10 @@ def _law_dorroh(corpus, guards):
         if not isinstance(ent.node, DorrohExpr):
             continue
         D = ent.ring
-        base = build_expr(ent.node.base, guards)
-        members = subring(base, list(ent.node.sub.gens))
+        base, S = D.layout.comps
+        m = S.layout.members
         cen = set(int(x) for x in center(base))
-        if not all(int(x) in cen for x in members):
+        if not all(int(x) in cen for x in m):
             cases.append(LawCase("dorroh", D.provenance, None,
                                  "not-applicable",
                                  reason="the adjoined scalars are not "
@@ -536,7 +536,6 @@ def _law_dorroh(corpus, guards):
         if D.order > guards.pair_cap:
             cases.append(_pair_skip("dorroh", D, guards))
             continue
-        m = np.asarray(members)
         isid = np.zeros(base.order, dtype=bool)
         isid[idempotents(base)] = True
         expect = isid[base.add[:, m]] & isid[m][None, :]
@@ -552,10 +551,9 @@ def _law_dorroh(corpus, guards):
                              reason=None if shape_ok else "idempotent "
                                                           "characterization "
                                                           "broke"))
-        pos0 = int(np.searchsorted(m, base.zero))
         space = D.layout.space
         for e in _nz_idem(base):
-            De = int(space.compose_scalar([e, pos0]))
+            De = int(space.compose_scalar([e, S.zero]))
             vd = _ok(D, "right_e_reversible", De, guards)
             vb = _ok(base, "right_e_reversible", e, guards)
             ok = vd == vb
@@ -596,9 +594,7 @@ def _law_h_ring(corpus, guards):
         if not isinstance(ent.node, HExpr):
             continue
         H = ent.ring
-        base = build_expr(ent.node.base, guards)
-        s = resolve_element(base, ent.node.s)
-        t = resolve_element(base, ent.node.t)
+        base, s, t = H.layout.base, H.layout.s, H.layout.t
         sinv = unit_inverse(base, s)
         tinv = unit_inverse(base, t)
         if H.order > guards.pair_cap:
@@ -647,7 +643,7 @@ def _law_twisted_u2(corpus, guards):
         if not isinstance(ent.node, TwistExpr):
             continue
         T = ent.ring
-        base = build_expr(ent.node.base, guards)
+        base = T.layout.base
         images = [resolve_element(base, im) for im in ent.node.hom.images]
         if T.order > guards.pair_cap:
             cases.append(_pair_skip("twisted_u2", T, guards))
@@ -899,65 +895,61 @@ def _law_examples(corpus, guards):
 
 # --- law table and runners -------------------------------------------------------------
 
-LAW_ORDER = ("ere", "semiprime_collapse", "e_and_complement", "prime_domain",
-             "min_abel", "products", "quotient_lift", "annihilator_quotient",
-             "dorroh", "h_ring", "twisted_u2", "examples")
-
-_STATEMENTS = {
-    "ere": "right reversibility relative to e holds exactly when e is left "
-           "semicentral and the corner ring at e is reversible; on the left "
-           "it needs right semicentrality instead",
-    "semiprime_collapse": "on a semiprime ring the four relative conditions "
-                          "(right reversible, right reduced, symmetric, "
-                          "right semicommutative) agree at every nonzero "
-                          "idempotent",
-    "e_and_complement": "when some nonzero e and its nonzero complement 1-e "
-                        "both admit right reversibility, semiprime and "
-                        "reduced coincide and reduced forces reversible",
-    "prime_domain": "a ring is a domain exactly when it is prime and right "
-                    "reversible relative to some nonzero idempotent; domains "
-                    "are directly finite",
-    "min_abel": "every minimal left idempotent is left semicentral exactly "
-                "when the ring is right reversible relative to each of "
-                "them, and exactly when it is symmetric relative to each",
-    "products": "a two-factor product is right reversible relative to a "
-                "componentwise idempotent exactly when both factors are "
-                "relative to their components",
-    "quotient_lift": "if the quotient is right reversible relative to the "
-                     "image of e and the ideal has no nonzero square-zero "
-                     "elements, the base ring is right reversible relative "
-                     "to e and e is left semicentral",
-    "annihilator_quotient": "for a ring symmetric relative to e, the "
-                            "quotient by a right annihilator ideal stays "
-                            "right reversible relative to the image of e",
-    "dorroh": "in the extension adjoining central scalars, (a, b) is "
-              "idempotent exactly when a+b and b are, and right "
-              "reversibility transfers between e and (e, 0)",
-    "h_ring": "each catalogued matrix is idempotent in the constrained 3x3 "
-              "extension, and right reversibility at the base idempotent "
-              "matches right reversibility at each catalogued matrix",
-    "twisted_u2": "right reversibility at the doubled idempotent of the "
-                  "twisted triangular extension forces it in the base; when "
-                  "the twisting map kills the idempotent the two verdicts "
-                  "coincide",
-    "examples": "pinned verdicts for the fixed example scenes reproduce "
-                "exactly under the sweep engine",
+# name -> (statement, checker), in canonical order
+_LAWS = {
+    "ere": ("right reversibility relative to e holds exactly when e is left "
+            "semicentral and the corner ring at e is reversible; on the left "
+            "it needs right semicentrality instead",
+            _law_ere),
+    "semiprime_collapse": ("on a semiprime ring the four relative conditions "
+                           "(right reversible, right reduced, symmetric, "
+                           "right semicommutative) agree at every nonzero "
+                           "idempotent",
+                           _law_semiprime_collapse),
+    "e_and_complement": ("when some nonzero e and its nonzero complement 1-e "
+                         "both admit right reversibility, semiprime and "
+                         "reduced coincide and reduced forces reversible",
+                         _law_e_and_complement),
+    "prime_domain": ("a ring is a domain exactly when it is prime and right "
+                     "reversible relative to some nonzero idempotent; domains "
+                     "are directly finite",
+                     _law_prime_domain),
+    "min_abel": ("every minimal left idempotent is left semicentral exactly "
+                 "when the ring is right reversible relative to each of "
+                 "them, and exactly when it is symmetric relative to each",
+                 _law_min_abel),
+    "products": ("a two-factor product is right reversible relative to a "
+                 "componentwise idempotent exactly when both factors are "
+                 "relative to their components",
+                 _law_products),
+    "quotient_lift": ("if the quotient is right reversible relative to the "
+                      "image of e and the ideal has no nonzero square-zero "
+                      "elements, the base ring is right reversible relative "
+                      "to e and e is left semicentral",
+                      _law_quotient_lift),
+    "annihilator_quotient": ("for a ring symmetric relative to e, the "
+                             "quotient by a right annihilator ideal stays "
+                             "right reversible relative to the image of e",
+                             _law_annihilator_quotient),
+    "dorroh": ("in the extension adjoining central scalars, (a, b) is "
+               "idempotent exactly when a+b and b are, and right "
+               "reversibility transfers between e and (e, 0)",
+               _law_dorroh),
+    "h_ring": ("each catalogued matrix is idempotent in the constrained 3x3 "
+               "extension, and right reversibility at the base idempotent "
+               "matches right reversibility at each catalogued matrix",
+               _law_h_ring),
+    "twisted_u2": ("right reversibility at the doubled idempotent of the "
+                   "twisted triangular extension forces it in the base; when "
+                   "the twisting map kills the idempotent the two verdicts "
+                   "coincide",
+                   _law_twisted_u2),
+    "examples": ("pinned verdicts for the fixed example scenes reproduce "
+                 "exactly under the sweep engine",
+                 _law_examples),
 }
 
-_CHECKERS = {
-    "ere": _law_ere,
-    "semiprime_collapse": _law_semiprime_collapse,
-    "e_and_complement": _law_e_and_complement,
-    "prime_domain": _law_prime_domain,
-    "min_abel": _law_min_abel,
-    "products": _law_products,
-    "quotient_lift": _law_quotient_lift,
-    "annihilator_quotient": _law_annihilator_quotient,
-    "dorroh": _law_dorroh,
-    "h_ring": _law_h_ring,
-    "twisted_u2": _law_twisted_u2,
-    "examples": _law_examples,
-}
+LAW_ORDER = tuple(_LAWS)
 
 
 def run_law(law: str, corpus: Corpus,
@@ -965,9 +957,9 @@ def run_law(law: str, corpus: Corpus,
     """Sweep one law over the corpus."""
     (law,) = select_laws([law])
     t0 = time.perf_counter()
-    cases = _CHECKERS[law](corpus, guards)
-    return LawReport(law, _STATEMENTS[law], cases,
-                     time.perf_counter() - t0)
+    statement, checker = _LAWS[law]
+    cases = checker(corpus, guards)
+    return LawReport(law, statement, cases, time.perf_counter() - t0)
 
 
 def select_laws(only=None) -> list:
@@ -978,7 +970,7 @@ def select_laws(only=None) -> list:
         return list(LAW_ORDER)
     wanted = {w.replace("-", "_") for w in only}
     for w in wanted:
-        if w not in _CHECKERS:
+        if w not in _LAWS:
             raise ValueError("unknown law %r (known: %s)"
                              % (w, ", ".join(LAW_ORDER)))
     return [law for law in LAW_ORDER if law in wanted]

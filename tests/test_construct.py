@@ -243,6 +243,11 @@ def test_resolve_element_forms(rings):
         resolve_element(M, "[[1,0],[0,1],[0,0]]")
     with pytest.raises(RingError, match="disagree"):
         resolve_element(rings["V(3,Z(2))"], "[[1,1,0],[0,1,0],[0,0,1]]")
+    T = rings["twist(Z(2),hom[#0,#1])"]
+    with pytest.raises(RingError, match=r"\(2,1\) must be zero in kind U"):
+        resolve_element(T, "[[1,0],[1,1]]")
+    with pytest.raises(RingError, match="2x2"):
+        resolve_element(T, "[[1,0,0],[0,1,0],[0,0,1]]")
 
 
 def test_build_expr_cache_round_trip(tmp_path):

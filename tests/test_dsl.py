@@ -1,12 +1,16 @@
 """Grammar round-trips and error positions."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from finring import ParseError, parse, parse_element, serialize, serialize_elem
+from finring import (ParseError, build_expr, parse, parse_element, serialize,
+                     serialize_elem)
 from finring.expr import (
-    AlgebraExpr, BracketList, CornerExpr, CosetLit, DorrohExpr, HExpr,
+    CONSTRUCTORS, AlgebraExpr, BracketList, CornerExpr, CosetLit, DorrohExpr, HExpr,
     HomTable, IntLit, KExpr, MatExpr, ProdExpr, QuotExpr, RawIndex,
     SubGens, TrsExpr, TupleLit, TwistExpr, ZExpr,
 )
@@ -92,6 +96,9 @@ def test_nested_expression_parses():
     ("", 1, "expected a ring constructor"),
     ("quot(Z(4),)", 11, "expected an element literal"),
     ("H(Z(2),1)", 9, "expected ','"),
+    ("quot(Z(4))", 11, "at least one ideal generator"),
+    ("dorroh(Z(2),hom[])", 13, "expected 'sub[...]'"),
+    ("twist(Z(2),sub[])", 12, "expected 'hom[...]'"),
 ])
 def test_parse_errors_carry_positions(text, col, frag):
     with pytest.raises(ParseError) as info:
@@ -118,3 +125,41 @@ def test_multiline_error_reports_its_line():
     with pytest.raises(ParseError) as info:
         parse("prod(\nZ(2),\nZ(x))")
     assert info.value.line == 3
+
+
+# one small sample per constructor name; a name missing here fails below
+SAMPLES = {
+    "Z": "Z(6)",
+    "M": "M(2,Z(2))",
+    "U": "U(2,Z(3))",
+    "D": "D(3,Z(2))",
+    "V": "V(3,Z(2))",
+    "H": "H(Z(3),2,1)",
+    "K": "K(Z(2),1)",
+    "prod": "prod(Z(2),Z(3),Z(2))",
+    "dorroh": "dorroh(Z(4),sub[2])",
+    "quot": "quot(Z(12),4,6)",
+    "corner": "corner(M(2,Z(2)),[[1,0],[0,0]])",
+    "twist": "twist(Z(2),hom[#0,#1])",
+    "trs": "trs(Z(2),sub[],1)",
+    "algebra": "algebra(2,2,[[[1,0],[0,1]],[[0,1],[0,0]]])",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+def test_every_constructor_parses_serializes_and_builds(name):
+    text = SAMPLES[name]
+    node = parse(text)
+    assert type(node) is CONSTRUCTORS[name].node
+    assert serialize(node) == text
+    assert build_expr(node).provenance == text
+
+
+def test_gen_corpus_renders_the_committed_corpus():
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "gen_corpus", root / "tools" / "gen_corpus.py")
+    gen_corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen_corpus)
+    committed = (root / "src" / "finring" / "corpus.txt").read_bytes()
+    assert gen_corpus.render().encode("utf-8") == committed

@@ -125,20 +125,21 @@ LINES = [
 ]
 
 
+def render() -> str:
+    """Text of corpus.txt: LINES with the two algebra entries serialized."""
+    algebras = {"NILPAIR": nilpotent_pair_algebra,
+                "QUAT": quaternion_group_algebra}
+    return "".join((serialize(algebras[line]()) if line in algebras else line)
+                   + "\n" for line in LINES)
+
+
 def main():
     out = os.path.join(os.path.dirname(__file__), "..", "src", "finring",
                        "corpus.txt")
-    text_lines = []
-    for line in LINES:
-        if line == "NILPAIR":
-            text_lines.append(serialize(nilpotent_pair_algebra()))
-        elif line == "QUAT":
-            text_lines.append(serialize(quaternion_group_algebra()))
-        else:
-            text_lines.append(line)
+    text = render()
     with open(out, "w") as fh:
-        fh.write("\n".join(text_lines) + "\n")
-    print("wrote %s (%d lines)" % (out, len(text_lines)))
+        fh.write(text)
+    print("wrote %s (%d lines)" % (out, text.count("\n")))
 
 
 if __name__ == "__main__":
