@@ -59,7 +59,7 @@ def _payload(args, ring_text, results) -> dict:
 
 
 def _build(args, node):
-    return build_expr(node, _guards(args), args.cache), serialize(node)
+    return build_expr(node, _guards(args)), serialize(node)
 
 
 def _verify_note(ring, guards):
@@ -155,9 +155,9 @@ def cmd_laws(args) -> int:
     guards = _guards(args)
     laws = select_laws(args.law or None)     # before the corpus is built
     if args.corpus:
-        corpus = load_corpus(args.corpus, guards, args.cache)
+        corpus = load_corpus(args.corpus, guards)
     else:
-        corpus = default_corpus(guards, args.cache)
+        corpus = default_corpus(guards)
     reports = run_laws(corpus, guards, laws)
     violated = sum(r.totals["violated"] for r in reports)
     results = [r.to_dict() for r in reports]
@@ -249,7 +249,8 @@ def _parser():
                         default=DEFAULT_GUARDS.triple_cap,
                         help="largest order for cubic sweeps")
     common.add_argument("--cache", metavar="DIR", default=None,
-                        help="directory for cached operation tables")
+                        help="ignored; kept so older command lines still "
+                             "run (rings are always built in memory)")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", parents=[common],

@@ -8,10 +8,7 @@ thousands.
 """
 from __future__ import annotations
 
-import hashlib
-import os
-import tempfile
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -343,41 +340,40 @@ class AlgebraLayout:
 
 
 def _coord_ring(space: _CoordSpace, layout, addfn, mulfn, zero, one,
-                prov: str, guards: Guards, tables) -> RingTable:
+                prov: str, guards: Guards) -> RingTable:
     """Ring on the mixed-radix coordinates of space.
 
     addfn and mulfn map row and column coordinates to output coordinates
-    (see _build_table); they run only when no cached tables are given.
-    zero and one are coordinate lists.
+    (see _build_table); zero and one are coordinate lists.
     """
     _guard_build(space.order, guards, prov)
     labels = tuple(layout.render(i) for i in range(space.order))
-    if tables is None:
-        dt = table_dtype(space.order)
-        tables = (_build_table(space, addfn, dt), _build_table(space, mulfn, dt))
-    return build_ring(tables[0], tables[1], space.compose_scalar(zero),
-                      space.compose_scalar(one), labels, prov, layout)
+    dt = table_dtype(space.order)
+    return build_ring(_build_table(space, addfn, dt),
+                      _build_table(space, mulfn, dt),
+                      space.compose_scalar(zero), space.compose_scalar(one),
+                      labels, prov, layout)
 
 
-def _componentwise(tables):
+def _componentwise(ops):
     """Coordinate function applying one base table per coordinate."""
-    return lambda rc, cc: [t[r, c] for t, r, c in zip(tables, rc, cc)]
+    return lambda rc, cc: [t[r, c] for t, r, c in zip(ops, rc, cc)]
 
 
-def zmod(n: int, guards: Guards = DEFAULT_GUARDS, provenance: str = None,
-         tables=None) -> RingTable:
+def zmod(n: int, guards: Guards = DEFAULT_GUARDS,
+         provenance: str = None) -> RingTable:
     """Integers mod n."""
     if n < 2:
         raise RingError("Z(n) needs n >= 2")
     return _coord_ring(_CoordSpace([n]), ZmodLayout(n),
                        lambda rc, cc: [(rc[0] + cc[0]) % n],
                        lambda rc, cc: [(rc[0] * cc[0]) % n],
-                       [0], [1], provenance or "Z(%d)" % n, guards, tables)
+                       [0], [1], provenance or "Z(%d)" % n, guards)
 
 
 def matrix_ring(kind: str, n: int, base: RingTable,
-                guards: Guards = DEFAULT_GUARDS, provenance: str = None,
-                tables=None) -> RingTable:
+                guards: Guards = DEFAULT_GUARDS,
+                provenance: str = None) -> RingTable:
     """n x n matrices over base, shaped by kind.
 
     M is the full matrix ring, U upper triangular, D constant main
@@ -408,7 +404,7 @@ def matrix_ring(kind: str, n: int, base: RingTable,
                        mulfn, [base.zero] * len(free),
                        [base.one if i == j else base.zero for (i, j) in free],
                        provenance or "%s(%d,%s)" % (kind, n, base.provenance),
-                       guards, tables)
+                       guards)
 
 
 def _require_central(base: RingTable, x: int, what: str):
@@ -417,7 +413,7 @@ def _require_central(base: RingTable, x: int, what: str):
 
 
 def h_ring(base: RingTable, s, t, guards: Guards = DEFAULT_GUARDS,
-           provenance: str = None, tables=None) -> RingTable:
+           provenance: str = None) -> RingTable:
     """Order |base|^3 family of 3x3 matrices [[a,0,0],[c,d,f],[0,0,g]]
     with d = a - s*c and g = d - t*f, for central parameters s, t."""
     s = resolve_element(base, s)
@@ -441,11 +437,11 @@ def h_ring(base: RingTable, s, t, guards: Guards = DEFAULT_GUARDS,
 
     return _coord_ring(space, HLayout(base, s, t, space),
                        _componentwise([badd] * 3), mulfn, [base.zero] * 3,
-                       [base.one, base.zero, base.zero], prov, guards, tables)
+                       [base.one, base.zero, base.zero], prov, guards)
 
 
 def k_ring(base: RingTable, s, guards: Guards = DEFAULT_GUARDS,
-           provenance: str = None, tables=None) -> RingTable:
+           provenance: str = None) -> RingTable:
     """Order |base|^4 ring of 2x2 arrays (a,x,y,b) whose off-diagonal
     pairing is scaled by a central parameter s."""
     s = resolve_element(base, s)
@@ -466,26 +462,26 @@ def k_ring(base: RingTable, s, guards: Guards = DEFAULT_GUARDS,
                        [base.one, base.zero, base.zero, base.one],
                        provenance or "K(%s,%s)" % (base.provenance,
                                                    base.labels[s]),
-                       guards, tables)
+                       guards)
 
 
-def _tuple_ring(comps: Sequence[RingTable], guards: Guards, prov: str,
-                tables=None) -> RingTable:
+def _tuple_ring(comps: Sequence[RingTable], guards: Guards,
+                prov: str) -> RingTable:
     space = _CoordSpace([c.order for c in comps])
     return _coord_ring(space, TupleLayout(comps, space),
                        _componentwise([c.add for c in comps]),
                        _componentwise([c.mul for c in comps]),
                        [c.zero for c in comps], [c.one for c in comps],
-                       prov, guards, tables)
+                       prov, guards)
 
 
 def direct_product(factors: Sequence[RingTable], guards: Guards = DEFAULT_GUARDS,
-                   provenance: str = None, tables=None) -> RingTable:
+                   provenance: str = None) -> RingTable:
     """Componentwise product of the factor rings."""
     if len(factors) < 1:
         raise RingError("product needs at least one factor")
     prov = provenance or "prod(%s)" % ",".join(f.provenance for f in factors)
-    return _tuple_ring(list(factors), guards, prov, tables)
+    return _tuple_ring(list(factors), guards, prov)
 
 
 def _closure(R: RingTable, seeds, products) -> np.ndarray:
@@ -538,7 +534,7 @@ def _restricted_ring(R: RingTable, members: np.ndarray, one_index: int,
 
 
 def dorroh(base: RingTable, gens, guards: Guards = DEFAULT_GUARDS,
-           provenance: str = None, tables=None) -> RingTable:
+           provenance: str = None) -> RingTable:
     """Pairs (a, b) with b in the subring generated by gens; the
     product is (a,b)(c,d) = (ac + ad + bc, bd) and the identity (0,1)."""
     S = sub_ring_table(base, subring(base, gens))
@@ -560,7 +556,7 @@ def dorroh(base: RingTable, gens, guards: Guards = DEFAULT_GUARDS,
     return _coord_ring(space, TupleLayout([base, S], space),
                        _componentwise([badd, S.add]), mulfn,
                        [base.zero, S.zero], [base.zero, S.one],
-                       prov, guards, tables)
+                       prov, guards)
 
 
 def _validate_hom(base: RingTable, images: np.ndarray):
@@ -581,7 +577,7 @@ def _validate_hom(base: RingTable, images: np.ndarray):
 
 
 def twisted_u2(base: RingTable, images, guards: Guards = DEFAULT_GUARDS,
-               provenance: str = None, tables=None) -> RingTable:
+               provenance: str = None) -> RingTable:
     """Triples written [[a,b],[0,c]] where the (1,2) slot multiplies
     through a ring endomorphism: product (ax, ay + b*h(z), cz)."""
     images = np.asarray([resolve_element(base, im) for im in images],
@@ -601,11 +597,11 @@ def twisted_u2(base: RingTable, images, guards: Guards = DEFAULT_GUARDS,
 
     return _coord_ring(layout.space, layout, _componentwise([badd] * 3),
                        mulfn, [base.zero] * 3, [base.one, base.zero, base.one],
-                       prov, guards, tables)
+                       prov, guards)
 
 
 def trs(base: RingTable, gens, n: int, guards: Guards = DEFAULT_GUARDS,
-        provenance: str = None, tables=None) -> RingTable:
+        provenance: str = None) -> RingTable:
     """(n+1)-tuples: n free coordinates in base, the last confined to
     the subring generated by gens; all operations componentwise."""
     if n < 0:
@@ -614,7 +610,7 @@ def trs(base: RingTable, gens, n: int, guards: Guards = DEFAULT_GUARDS,
     prov = provenance or "trs(%s,sub[%s],%d)" % (
         base.provenance, ",".join(base.labels[resolve_element(base, g)]
                                   for g in gens), n)
-    return _tuple_ring([base] * n + [S], guards, prov, tables)
+    return _tuple_ring([base] * n + [S], guards, prov)
 
 
 def ideal_closure(R: RingTable, gens) -> np.ndarray:
@@ -635,7 +631,7 @@ def is_ideal(R: RingTable, members) -> bool:
 
 
 def quotient(R: RingTable, gens, guards: Guards = DEFAULT_GUARDS,
-             provenance: str = None, tables=None):
+             provenance: str = None):
     """Quotient by the ideal generated by gens.
 
     Returns (ring, proj) where proj maps base indices to coset
@@ -654,20 +650,17 @@ def quotient(R: RingTable, gens, guards: Guards = DEFAULT_GUARDS,
     _guard_build(len(reps), guards, prov)
     layout = QuotientLayout(R, reps, proj)
     labels = tuple(layout.render(i) for i in range(len(reps)))
-    if tables is None:
-        qadd = proj[R.add[np.ix_(reps, reps)]]
-        qmul = proj[R.mul[np.ix_(reps, reps)]]
-        dt = table_dtype(len(reps))
-        tables = (qadd.astype(dt), qmul.astype(dt))
-    ring = build_ring(tables[0], tables[1], int(proj[R.zero]), int(proj[R.one]),
-                      labels, prov, layout)
+    dt = table_dtype(len(reps))
+    ring = build_ring(proj[R.add[np.ix_(reps, reps)]].astype(dt),
+                      proj[R.mul[np.ix_(reps, reps)]].astype(dt),
+                      int(proj[R.zero]), int(proj[R.one]), labels, prov, layout)
     ring._cache["projection"] = proj
     ring._cache["ideal"] = I
     return ring, proj
 
 
 def corner(R: RingTable, e, guards: Guards = DEFAULT_GUARDS,
-           provenance: str = None, tables=None):
+           provenance: str = None):
     """Corner ring e*R*e for a nonzero idempotent e.
 
     Returns (ring, members) where members maps corner indices back to
@@ -689,8 +682,7 @@ def corner(R: RingTable, e, guards: Guards = DEFAULT_GUARDS,
 
 def algebra_from_structure_constants(p: int, d: int, consts,
                                      guards: Guards = DEFAULT_GUARDS,
-                                     provenance: str = None,
-                                     tables=None) -> RingTable:
+                                     provenance: str = None) -> RingTable:
     """Finite algebra over Z/p from a d x d x d table of basis
     products; basis vector 0 must act as the identity."""
     if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
@@ -719,27 +711,22 @@ def algebra_from_structure_constants(p: int, d: int, consts,
     _guard_build(n, guards, provenance)
     layout = AlgebraLayout(p, d, space)
     labels = tuple(layout.render(i) for i in range(n))
-    if tables is None:
-        add = _build_table(space, lambda rc, cc:
-                           [(r + c) % p for r, c in zip(rc, cc)],
-                           table_dtype(n))
-        X = np.stack(space.decompose(np.arange(n, dtype=np.int64)), axis=1)
-        mul = np.empty((n, n), dtype=table_dtype(n))
-        step = max(1, _CHUNK_CELLS // (n * d))
-        strides = np.asarray(space.strides, dtype=np.int64)
-        for r0 in range(0, n, step):
-            xb = X[r0:min(n, r0 + step)]
-            coords = np.einsum("xi,yj,ijm->xym", xb, X, C) % p
-            mul[r0:r0 + xb.shape[0]] = coords @ strides
-        tables = (add, mul)
-    zero = 0
-    one = space.compose_scalar(eye[0])
-    return build_ring(tables[0], tables[1], zero, one, labels, provenance,
-                      layout)
+    add = _build_table(space, lambda rc, cc:
+                       [(r + c) % p for r, c in zip(rc, cc)], table_dtype(n))
+    X = np.stack(space.decompose(np.arange(n, dtype=np.int64)), axis=1)
+    mul = np.empty((n, n), dtype=table_dtype(n))
+    step = max(1, _CHUNK_CELLS // (n * d))
+    strides = np.asarray(space.strides, dtype=np.int64)
+    for r0 in range(0, n, step):
+        xb = X[r0:min(n, r0 + step)]
+        coords = np.einsum("xi,yj,ijm->xym", xb, X, C) % p
+        mul[r0:r0 + xb.shape[0]] = coords @ strides
+    return build_ring(add, mul, 0, space.compose_scalar(eye[0]), labels,
+                      provenance, layout)
 
 
 # ---------------------------------------------------------------------------
-# expression dispatch and the table cache
+# expression dispatch
 
 
 def _consts_array(node: BracketList, p: int, d: int) -> np.ndarray:
@@ -761,108 +748,53 @@ def _consts_array(node: BracketList, p: int, d: int) -> np.ndarray:
     return C
 
 
-def _dispatch(node, guards: Guards, cache_dir, prov: str, tables):
+def _dispatch(node, guards: Guards, prov: str):
     def sub(child):
-        return build_expr(child, guards, cache_dir)
+        return build_expr(child, guards)
 
     if isinstance(node, ZExpr):
-        return zmod(node.n, guards, prov, tables)
+        return zmod(node.n, guards, prov)
     if isinstance(node, MatExpr):
-        return matrix_ring(node.kind, node.n, sub(node.base), guards, prov,
-                           tables)
+        return matrix_ring(node.kind, node.n, sub(node.base), guards, prov)
     if isinstance(node, HExpr):
         base = sub(node.base)
         return h_ring(base, _encode_node(base, node.s),
-                      _encode_node(base, node.t), guards, prov, tables)
+                      _encode_node(base, node.t), guards, prov)
     if isinstance(node, KExpr):
         base = sub(node.base)
-        return k_ring(base, _encode_node(base, node.s), guards, prov, tables)
+        return k_ring(base, _encode_node(base, node.s), guards, prov)
     if isinstance(node, ProdExpr):
-        return direct_product([sub(f) for f in node.factors], guards, prov,
-                              tables)
+        return direct_product([sub(f) for f in node.factors], guards, prov)
     if isinstance(node, DorrohExpr):
         base = sub(node.base)
         return dorroh(base, [_encode_node(base, g) for g in node.sub.gens],
-                      guards, prov, tables)
+                      guards, prov)
     if isinstance(node, QuotExpr):
         base = sub(node.base)
         ring, _ = quotient(base, [_encode_node(base, g) for g in node.gens],
-                           guards, prov, tables)
+                           guards, prov)
         return ring
     if isinstance(node, CornerExpr):
         base = sub(node.base)
-        ring, _ = corner(base, _encode_node(base, node.e), guards, prov,
-                         tables)
+        ring, _ = corner(base, _encode_node(base, node.e), guards, prov)
         return ring
     if isinstance(node, TwistExpr):
         base = sub(node.base)
         return twisted_u2(base, [_encode_node(base, im)
-                                 for im in node.hom.images], guards, prov,
-                          tables)
+                                 for im in node.hom.images], guards, prov)
     if isinstance(node, TrsExpr):
         base = sub(node.base)
         return trs(base, [_encode_node(base, g) for g in node.sub.gens],
-                   node.n, guards, prov, tables)
+                   node.n, guards, prov)
     if isinstance(node, AlgebraExpr):
         C = _consts_array(node.consts, node.p, node.d)
         return algebra_from_structure_constants(node.p, node.d, C, guards,
-                                                prov, tables)
+                                                prov)
     raise TypeError("not a ring expression: %r" % (node,))
 
 
-def _cache_path(cache_dir: str, prov: str) -> str:
-    key = hashlib.sha256(prov.encode("utf-8")).hexdigest()[:32]
-    return os.path.join(cache_dir, "finring-%s.npz" % key)
-
-
-def _load_tables(path: str):
-    try:
-        with np.load(path) as data:
-            return np.array(data["add"]), np.array(data["mul"])
-    except Exception:
-        return None
-
-
-def _save_tables(path: str, ring: RingTable):
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".npz")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, add=ring.add, mul=ring.mul)
-        os.replace(tmp, path)
-    except Exception:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
-def _identity_spot_check(ring: RingTable) -> bool:
-    ar = np.arange(ring.order)
-    return bool(np.array_equal(ring.mul[ring.one], ar)
-                and np.array_equal(ring.mul[:, ring.one], ar))
-
-
-def build_expr(node, guards: Guards = DEFAULT_GUARDS,
-               cache_dir: Optional[str] = None) -> RingTable:
-    """Build the ring described by an expression (text or AST).
-
-    With cache_dir set, materialized tables are stored as .npz keyed by
-    the canonical expression text and revalidated on load.
-    """
+def build_expr(node, guards: Guards = DEFAULT_GUARDS) -> RingTable:
+    """Build the ring described by an expression (text or AST)."""
     if isinstance(node, str):
         node = parse(node)
-    prov = serialize(node)
-    if cache_dir is None:
-        return _dispatch(node, guards, None, prov, None)
-    path = _cache_path(cache_dir, prov)
-    if os.path.exists(path):
-        tables = _load_tables(path)
-        if tables is not None:
-            try:
-                ring = _dispatch(node, guards, cache_dir, prov, tables)
-                if _identity_spot_check(ring):
-                    return ring
-            except RingError:
-                pass  # stale or corrupt cache entry: rebuild below
-    ring = _dispatch(node, guards, cache_dir, prov, None)
-    _save_tables(path, ring)
-    return ring
+    return _dispatch(node, guards, serialize(node))

@@ -111,8 +111,7 @@ class Corpus:
 
 
 def corpus_from_text(text: str, source: str = "<corpus>",
-                     guards: Guards = DEFAULT_GUARDS,
-                     cache_dir: Optional[str] = None) -> Corpus:
+                     guards: Guards = DEFAULT_GUARDS) -> Corpus:
     """Parse, build and axiom-check a corpus manifest.
 
     Lines are construction expressions; blank lines and '#' comments are
@@ -135,9 +134,7 @@ def corpus_from_text(text: str, source: str = "<corpus>",
             raise ParseError("in %s line %d: %s" % (source, lineno, msg),
                              lineno, err.col)
         try:
-            ring = build_expr(node, guards, cache_dir)
-        except SizeGuardError:
-            raise
+            ring = build_expr(node, guards)
         except RingError as err:
             raise RingError("%s line %d: %s" % (source, lineno, err))
         try:
@@ -152,18 +149,17 @@ def corpus_from_text(text: str, source: str = "<corpus>",
     return Corpus(source, entries, time.perf_counter() - t0)
 
 
-def load_corpus(path: str, guards: Guards = DEFAULT_GUARDS,
-                cache_dir=None) -> Corpus:
+def load_corpus(path: str, guards: Guards = DEFAULT_GUARDS) -> Corpus:
     """Read a corpus manifest from a file."""
     with open(path) as fh:
         text = fh.read()
-    return corpus_from_text(text, path, guards, cache_dir)
+    return corpus_from_text(text, path, guards)
 
 
-def default_corpus(guards: Guards = DEFAULT_GUARDS, cache_dir=None) -> Corpus:
+def default_corpus(guards: Guards = DEFAULT_GUARDS) -> Corpus:
     """The corpus bundled with the package."""
     text = resources.files("finring").joinpath("corpus.txt").read_text()
-    return corpus_from_text(text, "builtin", guards, cache_dir)
+    return corpus_from_text(text, "builtin", guards)
 
 
 def _nz_idem(R):

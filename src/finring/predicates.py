@@ -176,17 +176,6 @@ def unit_inverse(R: RingTable, x) -> Optional[int]:
 # sweep caches: per-value minima over violating-candidate tuples
 
 
-def _group_min(values: np.ndarray, codes: np.ndarray, out: np.ndarray):
-    # out[v] = min(out[v], min of codes where values == v)
-    if len(values) == 0:
-        return
-    order = np.argsort(values, kind="stable")
-    sv = values[order]
-    starts = np.flatnonzero(np.concatenate(([True], sv[1:] != sv[:-1])))
-    gmin = np.minimum.reduceat(codes[order], starts)
-    np.minimum.at(out, sv[starts], gmin)
-
-
 def _multi_slice(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     # concatenation of index ranges [starts[i], starts[i]+lens[i])
     total = int(lens.sum())
@@ -213,7 +202,7 @@ def _rev_min(R: RingTable) -> np.ndarray:
         n = R.order
         m = np.full(n, _SENTINEL, dtype=np.int64)
         A, B = zp[:, 0], zp[:, 1]
-        _group_min(R.mul[B, A], A * n + B, m)
+        np.minimum.at(m, R.mul[B, A], A * n + B)
         R._cache["rev_min"] = m
     return m
 
@@ -234,7 +223,7 @@ def _scomm_cache(R: RingTable):
             A, B = zp[i0:i0 + step, 0], zp[i0:i0 + step, 1]
             ARB = R.mul[R.mul[A], B[:, None]]          # (a*r)*b over all r
             codes = ((A * n + B) * n)[:, None] + rcol[None, :]
-            _group_min(ARB.ravel(), codes.ravel(), m)
+            np.minimum.at(m, ARB.ravel(), codes.ravel())
             relmask[i0:i0 + len(A)] = (ARB == R.zero).all(axis=1)
         c = (m, zp[relmask])
         R._cache["scomm"] = c
@@ -255,28 +244,15 @@ def _symm_min(R: RingTable) -> np.ndarray:
         ends = np.searchsorted(sv, vals, side="right")
         lens = ends - starts
         m = np.full(n, _SENTINEL, dtype=np.int64)
-        bufv, bufc, bufsize = [], [], 0
         nn = np.int64(n) * n
         for a in range(n):
             if a == R.zero:
                 continue  # zero times anything vanishes on both sides
             ys = np.flatnonzero(mul[a] == R.zero)
-            if len(ys) == 0:
-                continue
             paircodes = order[_multi_slice(starts[ys], lens[ys])]
-            if len(paircodes) == 0:
-                continue
             b = paircodes // n
             cc = paircodes % n
-            acb = mul[mul[a, cc], b]
-            bufv.append(acb)
-            bufc.append(np.int64(a) * nn + paircodes)
-            bufsize += len(paircodes)
-            if bufsize >= _CHUNK_CELLS:
-                _group_min(np.concatenate(bufv), np.concatenate(bufc), m)
-                bufv, bufc, bufsize = [], [], 0
-        if bufv:
-            _group_min(np.concatenate(bufv), np.concatenate(bufc), m)
+            np.minimum.at(m, mul[mul[a, cc], b], np.int64(a) * nn + paircodes)
         R._cache["symm_min"] = m
     return m
 

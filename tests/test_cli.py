@@ -23,6 +23,9 @@ SURVEY_DIGESTS = {
         "cfd23da7823d852a0b79ff3e447ac0f45327db5826844a6c505a1ea01d0a7193",
     ("survey", "Z(6)", "--max-pair-order", "4", "--format", "json"):
         "91bba6c56711b452d18be1a77bef9eee8952be195387df22ba49561d2f486624",
+    # the second reference hash of ROADMAP.md (order 512)
+    ("survey", "M(3,Z(2))", "--format", "json"):
+        "44d96a0b68e4f4e554159f8dc9b6361fcabc2d6ba73ea0f84605843a603e4e93",
 }
 
 
@@ -249,10 +252,14 @@ def test_module_entry_point():
 
 
 def test_cache_flag_round_trip(tmp_path):
-    argv = ["check", "M(2,Z(3))", "reversible", "--cache", str(tmp_path),
-            "--format", "json"]
-    code, first, _ = run(argv)
+    # --cache is accepted for older command lines and does nothing
+    argv = ["check", "M(2,Z(3))", "reversible", "--format", "json"]
+    code, plain, _ = run(argv)
     assert code == 0
-    assert list(tmp_path.iterdir())
-    code, second, _ = run(argv)
-    assert first == second
+    code, cached, err = run(argv + ["--cache", str(tmp_path)])
+    assert (code, err) == (0, "")
+    report = json.loads(cached)
+    assert report["command"] == argv + ["--cache", str(tmp_path)]
+    report["command"] = argv
+    assert json.dumps(report, indent=2) + "\n" == plain
+    assert list(tmp_path.iterdir()) == []

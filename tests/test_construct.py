@@ -1,6 +1,5 @@
-"""One test cluster per construction, plus element resolution and caching."""
+"""One test cluster per construction, plus element resolution."""
 
-import numpy as np
 import pytest
 
 from finring import (
@@ -248,27 +247,6 @@ def test_resolve_element_forms(rings):
         resolve_element(T, "[[1,0],[1,1]]")
     with pytest.raises(RingError, match="2x2"):
         resolve_element(T, "[[1,0,0],[0,1,0],[0,0,1]]")
-
-
-def test_build_expr_cache_round_trip(tmp_path):
-    cache = str(tmp_path)
-    R1 = build_expr("M(2,Z(3))", cache_dir=cache)
-    files = list(tmp_path.iterdir())
-    assert files, "cache directory stayed empty"
-    R2 = build_expr("M(2,Z(3))", cache_dir=cache)
-    assert np.array_equal(R1.add, R2.add)
-    assert np.array_equal(R1.mul, R2.mul)
-    assert R1.labels == R2.labels
-    assert (R1.zero, R1.one) == (R2.zero, R2.one)
-
-
-def test_build_expr_cache_survives_corruption(tmp_path):
-    cache = str(tmp_path)
-    R1 = build_expr("Z(9)", cache_dir=cache)
-    for f in tmp_path.iterdir():
-        f.write_bytes(b"not an archive")
-    R2 = build_expr("Z(9)", cache_dir=cache)
-    assert np.array_equal(R1.mul, R2.mul)
 
 
 def test_build_expr_accepts_parsed_nodes():

@@ -12,6 +12,7 @@ from finring import (
     left_annihilator, minimal_left_idempotents, nilpotency_index, nilpotents,
     replay_witness, right_annihilator, survey,
 )
+from finring import build_ring, predicates
 
 import oracle
 from conftest import SMALL_RINGS
@@ -283,3 +284,61 @@ def test_relative_chain_holds_on_sampled_instances(rings, text, data):
     values = [check_property(R, p, e).status == "holds" for p in chain]
     for earlier, later in zip(values, values[1:]):
         assert not earlier or later
+
+
+# ---------------------------------------------------------------------------
+# sweep caches against per-value minima from plain loops
+
+# rings of order 27-64 on top of SMALL_RINGS
+SWEEP_RINGS = SMALL_RINGS + ("U(2,Z(3))", "H(Z(3),1,1)",
+                             "prod(U(2,Z(2)),Z(4))", "U(3,Z(2))")
+
+
+def naive_sweep_minima(R):
+    """(rev, scomm, rel, symm) by plain loops, bracketed as the engine
+    multiplies so that broken tables compare too."""
+    n, z, mul = R.order, R.zero, R.mul.tolist()
+    rev, scomm, symm = ([int(predicates._SENTINEL)] * n for _ in range(3))
+    rel = []
+    for a, b in itertools.product(range(n), repeat=2):
+        if mul[a][b] != z:
+            continue
+        rev[mul[b][a]] = min(rev[mul[b][a]], a * n + b)
+        vanish = True
+        for r in range(n):
+            v = mul[mul[a][r]][b]
+            scomm[v] = min(scomm[v], (a * n + b) * n + r)
+            vanish = vanish and v == z
+        if vanish:
+            rel.append((a, b))
+    for a, b, c in itertools.product(range(n), repeat=3):
+        # the engine skips a = 0, whose triples only reach v = 0
+        if a != z and mul[a][mul[b][c]] == z:
+            v = mul[mul[a][c]][b]
+            symm[v] = min(symm[v], (a * n + b) * n + c)
+    return rev, scomm, rel, symm
+
+
+def assert_sweeps_match_naive(R):
+    rev, scomm, rel, symm = naive_sweep_minima(R)
+    m, engine_rel = predicates._scomm_cache(R)
+    assert predicates._rev_min(R).tolist() == rev
+    assert m.tolist() == scomm
+    assert [tuple(p) for p in engine_rel.tolist()] == rel
+    assert predicates._symm_min(R).tolist() == symm
+
+
+@pytest.mark.parametrize("text", SWEEP_RINGS)
+def test_sweep_caches_match_naive_minima(text):
+    assert_sweeps_match_naive(build_expr(text))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(SMALL_RINGS), st.data())
+def test_sweep_caches_match_naive_minima_on_broken_tables(rings, text, data):
+    R = rings[text]
+    mul = R.mul.copy()
+    for _ in range(data.draw(st.integers(1, 3))):
+        i, j, v = (data.draw(st.integers(0, R.order - 1)) for _ in range(3))
+        mul[i, j] = v
+    assert_sweeps_match_naive(build_ring(R.add, mul, R.zero, R.one, R.labels))
