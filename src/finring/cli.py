@@ -206,8 +206,7 @@ def cmd_describe(args) -> int:
         "center_size": len(cen),
         "center": [ring.labels[x] for x in cen],
     }
-    globals_res = [check_property(ring, p, None, guards).to_dict()
-                   for p in GLOBAL_PROPS]
+    globals_res = [v.to_dict() for v in survey(ring, guards, GLOBAL_PROPS)]
     results = [{"kind": "axioms", "status": axioms}, summary,
                {"kind": "global", "verdicts": globals_res}]
     if args.format == "json":

@@ -8,6 +8,7 @@ thousands.
 """
 from __future__ import annotations
 
+from functools import partial
 from typing import List, Sequence
 
 import numpy as np
@@ -15,10 +16,8 @@ import numpy as np
 from .core import (_CHUNK_CELLS, DEFAULT_GUARDS, Guards, RingError,
                    RingTable, SizeGuardError, build_ring, table_dtype)
 from .dsl import parse, parse_element
-from .expr import (AlgebraExpr, BracketList, CornerExpr, CosetLit,
-                   DorrohExpr, HExpr, IntLit, KExpr, MatExpr, ProdExpr,
-                   QuotExpr, RawIndex, TrsExpr, TupleLit, TwistExpr, ZExpr,
-                   serialize, serialize_elem)
+from .expr import (CONSTRUCTORS, BracketList, CosetLit, IntLit, RawIndex,
+                   RingExpr, TupleLit, serialize, serialize_elem)
 
 __all__ = [
     "zmod", "matrix_ring", "h_ring", "k_ring", "direct_product", "dorroh",
@@ -604,9 +603,9 @@ def trs(base: RingTable, gens, n: int, guards: Guards = DEFAULT_GUARDS,
         provenance: str = None) -> RingTable:
     """(n+1)-tuples: n free coordinates in base, the last confined to
     the subring generated by gens; all operations componentwise."""
+    S = sub_ring_table(base, subring(base, gens))
     if n < 0:
         raise RingError("tuple count must be >= 0")
-    S = sub_ring_table(base, subring(base, gens))
     prov = provenance or "trs(%s,sub[%s],%d)" % (
         base.provenance, ",".join(base.labels[resolve_element(base, g)]
                                   for g in gens), n)
@@ -729,7 +728,9 @@ def algebra_from_structure_constants(p: int, d: int, consts,
 # expression dispatch
 
 
-def _consts_array(node: BracketList, p: int, d: int) -> np.ndarray:
+def _algebra(p: int, d: int, node: BracketList, guards: Guards,
+             prov: str) -> RingTable:
+    """algebra(p,d,...) from its parsed bracket list of constants."""
     C = np.zeros((d, d, d), dtype=np.int64)
     if len(node.items) != d:
         raise RingError("structure constants must have %d rows" % d)
@@ -745,52 +746,36 @@ def _consts_array(node: BracketList, p: int, d: int) -> np.ndarray:
                 if not isinstance(v, IntLit):
                     raise RingError("structure constants must be integers")
                 C[i, j, k] = v.value % p
-    return C
+    return algebra_from_structure_constants(p, d, C, guards, prov)
 
 
-def _dispatch(node, guards: Guards, prov: str):
-    def sub(child):
-        return build_expr(child, guards)
+# constructor name -> builder taking the arguments in expr.CONSTRUCTORS
+# order (rings built, element literals as parsed), the guards and the
+# provenance
+_BUILDERS = {
+    "Z": zmod,
+    **{kind: partial(matrix_ring, kind) for kind in "MUDV"},
+    "H": h_ring,
+    "K": k_ring,
+    "prod": direct_product,
+    "dorroh": dorroh,
+    "quot": lambda *a: quotient(*a)[0],
+    "corner": lambda *a: corner(*a)[0],
+    "twist": twisted_u2,
+    "trs": trs,
+    "algebra": _algebra,
+}
 
-    if isinstance(node, ZExpr):
-        return zmod(node.n, guards, prov)
-    if isinstance(node, MatExpr):
-        return matrix_ring(node.kind, node.n, sub(node.base), guards, prov)
-    if isinstance(node, HExpr):
-        base = sub(node.base)
-        return h_ring(base, _encode_node(base, node.s),
-                      _encode_node(base, node.t), guards, prov)
-    if isinstance(node, KExpr):
-        base = sub(node.base)
-        return k_ring(base, _encode_node(base, node.s), guards, prov)
-    if isinstance(node, ProdExpr):
-        return direct_product([sub(f) for f in node.factors], guards, prov)
-    if isinstance(node, DorrohExpr):
-        base = sub(node.base)
-        return dorroh(base, [_encode_node(base, g) for g in node.sub.gens],
-                      guards, prov)
-    if isinstance(node, QuotExpr):
-        base = sub(node.base)
-        ring, _ = quotient(base, [_encode_node(base, g) for g in node.gens],
-                           guards, prov)
-        return ring
-    if isinstance(node, CornerExpr):
-        base = sub(node.base)
-        ring, _ = corner(base, _encode_node(base, node.e), guards, prov)
-        return ring
-    if isinstance(node, TwistExpr):
-        base = sub(node.base)
-        return twisted_u2(base, [_encode_node(base, im)
-                                 for im in node.hom.images], guards, prov)
-    if isinstance(node, TrsExpr):
-        base = sub(node.base)
-        return trs(base, [_encode_node(base, g) for g in node.sub.gens],
-                   node.n, guards, prov)
-    if isinstance(node, AlgebraExpr):
-        C = _consts_array(node.consts, node.p, node.d)
-        return algebra_from_structure_constants(node.p, node.d, C, guards,
-                                                prov)
-    raise TypeError("not a ring expression: %r" % (node,))
+
+def _dispatch(node: RingExpr, guards: Guards, prov: str) -> RingTable:
+    args = []
+    for kind, value in zip(CONSTRUCTORS[node.name], node.args):
+        if kind == "ring":
+            value = build_expr(value, guards)
+        elif kind == "rings":
+            value = [build_expr(f, guards) for f in value]
+        args.append(value)
+    return _BUILDERS[node.name](*args, guards, prov)
 
 
 def build_expr(node, guards: Guards = DEFAULT_GUARDS) -> RingTable:

@@ -1,18 +1,18 @@
 """Parser for the ring-construction expression language.
 
-Text like ``U(2,Z(3))`` or ``dorroh(Z(2),sub[1])`` parses to the AST
-nodes in expr.py, by the signatures in expr.CONSTRUCTORS; serialize()
-over there is the inverse.  Element literals (integers, #raw indices,
-bracketed matrices, tuples, coset ``x+I`` forms) share one grammar so
-ring labels parse back as elements.
+Text like ``U(2,Z(3))`` or ``dorroh(Z(2),sub[1])`` parses to the
+RingExpr nodes in expr.py, by the argument kinds in expr.CONSTRUCTORS;
+serialize() over there is the inverse.  Element literals (integers,
+#raw indices, bracketed matrices, tuples, coset ``x+I`` forms) share
+one grammar so ring labels parse back as elements.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import List
 
-from .expr import (CONSTRUCTORS, TAGGED, BracketList, CosetLit, IntLit,
-                   RawIndex, TupleLit)
+from .expr import (CONSTRUCTORS, BracketList, CosetLit, IntLit, RawIndex,
+                   RingExpr, TupleLit)
 
 __all__ = ["ParseError", "parse", "parse_element"]
 
@@ -156,39 +156,34 @@ class _Parser:
 
     # ---- ring expressions ----
 
-    def ring(self):
+    def ring(self) -> RingExpr:
         t = self.peek()
         if t.kind != "ident":
             self.fail("expected a ring constructor, found %r"
                       % (t.text or "end of input"))
-        sig = CONSTRUCTORS.get(t.text)
-        if sig is None:
+        kinds = CONSTRUCTORS.get(t.text)
+        if kinds is None:
             self.fail("unknown constructor %r" % t.text)
         self.next()
         self.expect("(")
         values = []
-        written = 0
-        for kind in sig.args:
-            if kind == "name":
-                values.append(t.text)
-                continue
+        for i, kind in enumerate(kinds):
             if kind in _AT_LEAST:
                 # each item follows a comma, except a leading first one
-                items = [self.arg(kind)] if written == 0 else []
+                items = [self.arg(kind)] if i == 0 else []
                 while self.peek().kind == ",":
                     self.next()
                     items.append(self.arg(kind))
                 values.append(tuple(items))
             else:
-                if written:
+                if i:
                     self.expect(",")
                 values.append(self.arg(kind))
-            written += 1
         self.expect(")")
-        for kind, value in zip(sig.args, values):
+        for kind, value in zip(kinds, values):
             if kind in _AT_LEAST and len(value) < _AT_LEAST[kind][0]:
                 self.fail("%s needs at least %s" % (t.text, _AT_LEAST[kind][1]))
-        return sig.node(*values)
+        return RingExpr(t.text, values)
 
     def arg(self, kind: str):
         if kind == "int":
@@ -199,11 +194,11 @@ class _Parser:
             return self.element()
         if kind == "list":
             return self.bracket_list()
-        cls, _ = TAGGED[kind]
+        # tagged bracket lists 'sub[...]' and 'hom[...]'
         t = self.expect("ident")
         if t.text != kind:
             raise ParseError("expected '%s[...]'" % kind, t.line, t.col)
-        return cls(self.bracket_list().items)
+        return self.bracket_list().items
 
 
 # variadic argument kinds: the least item count and how to say it

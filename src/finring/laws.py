@@ -19,7 +19,6 @@ from .core import verify_axioms
 from .construct import (build_expr, corner, is_ideal, quotient,
                         resolve_element)
 from .dsl import ParseError, parse
-from .expr import DorrohExpr, HExpr, ProdExpr, QuotExpr, TwistExpr
 from .predicates import (center, check_property, idempotents,
                          is_left_min_abel, is_left_semicentral,
                          is_right_semicentral, minimal_left_idempotents,
@@ -170,10 +169,11 @@ def _ok(R, prop, e, guards):
     return check_property(R, prop, e, guards).status == "holds"
 
 
-def _pair_skip(law, R, guards):
+def _pair_skip(law, R, guards, order=None):
+    """R's case skipped: order (R's own by default) is past the guard."""
     return LawCase(law, R.provenance, None, "skipped",
                    reason="order %d exceeds the pair sweep guard %d"
-                          % (R.order, guards.pair_cap))
+                          % (order or R.order, guards.pair_cap))
 
 
 # --- corner characterization -------------------------------------------------
@@ -364,10 +364,10 @@ def _law_min_abel(corpus, guards):
 def _law_products(corpus, guards):
     cases = []
     for ent in corpus.rings():
-        if not isinstance(ent.node, ProdExpr):
+        if ent.node.name != "prod":
             continue
         P = ent.ring
-        if len(ent.node.factors) != 2:
+        if len(P.layout.comps) != 2:
             cases.append(LawCase("products", P.provenance, None, "skipped",
                                  reason="only two-factor products are swept"))
             continue
@@ -398,7 +398,7 @@ def _law_products(corpus, guards):
 def _law_quotient_lift(corpus, guards):
     cases = []
     for ent in corpus.rings():
-        if not isinstance(ent.node, QuotExpr):
+        if ent.node.name != "quot":
             continue
         Q = ent.ring
         base = Q.layout.base
@@ -417,7 +417,7 @@ def _law_quotient_lift(corpus, guards):
                                         "rng"))
             continue
         if base.order > guards.pair_cap:
-            cases.append(_pair_skip("quotient_lift", Q, guards))
+            cases.append(_pair_skip("quotient_lift", Q, guards, base.order))
             continue
         for e in _nz_idem(base):
             eb = int(proj[e])
@@ -517,7 +517,7 @@ def _law_annihilator_quotient(corpus, guards):
 def _law_dorroh(corpus, guards):
     cases = []
     for ent in corpus.rings():
-        if not isinstance(ent.node, DorrohExpr):
+        if ent.node.name != "dorroh":
             continue
         D = ent.ring
         base, S = D.layout.comps
@@ -587,7 +587,7 @@ def _h_families(base, e, s, t, sinv, tinv):
 def _law_h_ring(corpus, guards):
     cases = []
     for ent in corpus.rings():
-        if not isinstance(ent.node, HExpr):
+        if ent.node.name != "H":
             continue
         H = ent.ring
         base, s, t = H.layout.base, H.layout.s, H.layout.t
@@ -636,11 +636,11 @@ def _law_h_ring(corpus, guards):
 def _law_twisted_u2(corpus, guards):
     cases = []
     for ent in corpus.rings():
-        if not isinstance(ent.node, TwistExpr):
+        if ent.node.name != "twist":
             continue
         T = ent.ring
         base = T.layout.base
-        images = [resolve_element(base, im) for im in ent.node.hom.images]
+        images = [resolve_element(base, im) for im in ent.node.args[1]]
         if T.order > guards.pair_cap:
             cases.append(_pair_skip("twisted_u2", T, guards))
             continue

@@ -71,30 +71,31 @@ def idempotents(R: RingTable) -> np.ndarray:
     return c
 
 
+def _nil_index(R: RingTable) -> np.ndarray:
+    """Per element a, the least k with a^k = 0 over the right powers
+    a^(k+1) = a^k * a, k <= ceil(log2 n)+1, and 0 if there is none.  In
+    a ring the chain R > aR > a^2R > ... at least halves at every step,
+    so a nilpotency index never exceeds log2 n."""
+    c = R._cache.get("nil_index")
+    if c is None:
+        ar = np.arange(R.order)
+        c = np.zeros(R.order, dtype=np.int64)
+        x = ar
+        for k in range(1, int(np.ceil(np.log2(R.order))) + 2):
+            c[(x == R.zero) & (c == 0)] = k
+            x = R.mul[x, ar]
+        R._cache["nil_index"] = c
+    return c
+
+
 def nilpotents(R: RingTable) -> np.ndarray:
     """Sorted indices of all nilpotent elements (zero included)."""
-    c = R._cache.get("nilp")
-    if c is None:
-        x = np.arange(R.order)
-        # squaring ceil(log2 n)+1 times passes every nilpotency index
-        for _ in range(max(1, int(np.ceil(np.log2(R.order))) + 1)):
-            x2 = R.mul[x, x]
-            if np.array_equal(x2, x):
-                break
-            x = x2
-        c = np.flatnonzero(x == R.zero)
-        R._cache["nilp"] = c
-    return c
+    return np.flatnonzero(_nil_index(R))
 
 
 def nilpotency_index(R: RingTable, a: int) -> Optional[int]:
     """Least k with a^k = 0, or None if a is not nilpotent."""
-    x = int(a)
-    for k in range(1, R.order + 2):
-        if x == R.zero:
-            return k
-        x = int(R.mul[x, a])
-    return None
+    return int(_nil_index(R)[a]) or None
 
 
 def center(R: RingTable) -> np.ndarray:
@@ -581,24 +582,17 @@ def check_property(R: RingTable, prop: str, e=None,
 
 
 def survey(R: RingTable, guards: Guards = DEFAULT_GUARDS,
-           properties=None, idempotent=None) -> list:
+           properties=None) -> list:
     """All properties of R: global ones, then each relative property
-    at every nonzero idempotent (or just the one given).  Past a guard
-    each verdict is skipped on its own, one per idempotent."""
+    at every nonzero idempotent.  Past a guard each verdict is skipped
+    on its own, one per idempotent."""
     props = [_canonical(p) for p in properties] if properties else ALL_PROPS
     out = [check_property(R, p, None, guards)
            for p in props if not _PROPS[p].relative]
     wanted_e = [p for p in props if _PROPS[p].relative]
-    if not wanted_e:
-        return out
-    if idempotent is not None:
-        es = [resolve_element(R, idempotent)]
-    else:
-        es = [int(f) for f in idempotents(R) if f != R.zero]
-    for f in es:
-        for p in wanted_e:
-            out.append(check_property(R, p, f, guards))
-    return out
+    es = [int(f) for f in idempotents(R) if f != R.zero]
+    return out + [check_property(R, p, f, guards)
+                  for f in es for p in wanted_e]
 
 
 def replay_witness(R: RingTable, prop: str, e, witness) -> bool:

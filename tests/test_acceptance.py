@@ -18,9 +18,7 @@ from finring import (
 )
 from finring.cli import main as cli_main
 from finring.expr import (
-    AlgebraExpr, BracketList, CornerExpr, CosetLit, DorrohExpr, HExpr,
-    HomTable, IntLit, KExpr, MatExpr, ProdExpr, QuotExpr, RawIndex, SubGens,
-    TrsExpr, TupleLit, TwistExpr, ZExpr,
+    BracketList, CosetLit, IntLit, RawIndex, RingExpr, TupleLit,
 )
 
 PAIR_CAP = 4096
@@ -201,28 +199,28 @@ def _ast_pool():
              CosetLit(IntLit(2)),
              BracketList([BracketList([IntLit(1), IntLit(0)]),
                           BracketList([IntLit(0), IntLit(1)])])]
-    bases = [ZExpr(n) for n in (2, 3, 4, 6, 8, 9, 12)]
+    bases = [RingExpr("Z", (n,)) for n in (2, 3, 4, 6, 8, 9, 12)]
     nodes = list(bases)
     for i, base in enumerate(bases):
         el = elems[i % len(elems)]
-        nodes.extend(MatExpr(kind, 2 + i % 3, base) for kind in "MUDV")
+        nodes.extend(RingExpr(kind, (2 + i % 3, base)) for kind in "MUDV")
         nodes.extend([
-            HExpr(base, IntLit(1), el),
-            KExpr(base, IntLit(0)),
-            ProdExpr([base, ZExpr(2)]),
-            DorrohExpr(base, SubGens([el])),
-            QuotExpr(base, [el]),
-            CornerExpr(base, el),
-            TwistExpr(base, HomTable([RawIndex(0), RawIndex(1)])),
-            TrsExpr(base, SubGens([]), i % 3),
-            AlgebraExpr(2, 2, BracketList([elems[6], elems[6]])),
+            RingExpr("H", (base, IntLit(1), el)),
+            RingExpr("K", (base, IntLit(0))),
+            RingExpr("prod", ((base, bases[0]),)),
+            RingExpr("dorroh", (base, (el,))),
+            RingExpr("quot", (base, (el,))),
+            RingExpr("corner", (base, el)),
+            RingExpr("twist", (base, (RawIndex(0), RawIndex(1)))),
+            RingExpr("trs", (base, (), i % 3)),
+            RingExpr("algebra", (2, 2, BracketList([elems[6], elems[6]]))),
         ])
     deep = bases[0]
-    for ctor in (lambda b: MatExpr("U", 2, b),
-                 lambda b: ProdExpr([b, b]),
-                 lambda b: DorrohExpr(b, SubGens([])),
-                 lambda b: QuotExpr(b, [CosetLit(IntLit(1))]),
-                 lambda b: TrsExpr(b, SubGens([IntLit(1)]), 2)):
+    for ctor in (lambda b: RingExpr("U", (2, b)),
+                 lambda b: RingExpr("prod", ((b, b),)),
+                 lambda b: RingExpr("dorroh", (b, ())),
+                 lambda b: RingExpr("quot", (b, (CosetLit(IntLit(1)),))),
+                 lambda b: RingExpr("trs", (b, (IntLit(1),), 2))):
         deep = ctor(deep)
         nodes.append(deep)
     return nodes
@@ -231,6 +229,9 @@ def _ast_pool():
 def test_criterion_10_parser_round_trip():
     nodes = _ast_pool()
     assert len(nodes) >= 100
+    texts = "\n".join(serialize(node) for node in nodes).encode("utf-8")
+    assert hashlib.sha256(texts).hexdigest() == (
+        "a6ac3cc91df181830dec4197862edeab2e7ed4bd79ab3071a25fbfc700349b96")
     for node in nodes:
         text = serialize(node)
         assert parse(text) == node, text

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from finring import (
-    LAW_ORDER, Corpus, ParseError, RingError, corpus_from_text,
+    LAW_ORDER, Corpus, Guards, ParseError, RingError, corpus_from_text,
     default_corpus, load_corpus, run_law, run_laws,
 )
 
@@ -151,6 +151,15 @@ def test_corpus_from_text_skips_comments_and_blanks():
     corpus = corpus_from_text(text, source="inline")
     assert [e.text for e in corpus.entries] == ["Z(4)", "Z(9)"]
     assert all(e.verified for e in corpus.entries)
+
+
+def test_quotient_lift_skip_reports_the_base_order():
+    # the base has order 30, the quotient order 6; the guard applies to
+    # the base
+    corpus = corpus_from_text("quot(prod(Z(5),Z(6)),(1,0))\n")
+    (case,) = run_law("quotient_lift", corpus, Guards(pair_cap=16)).cases
+    assert case.status == "skipped"
+    assert case.reason == "order 30 exceeds the pair sweep guard 16"
 
 
 def test_load_corpus_from_file(tmp_path):

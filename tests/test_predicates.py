@@ -194,10 +194,6 @@ def test_survey_shape(rings):
     rows = survey(R)
     assert len(rows) == len(GLOBAL_PROPS) + 3 * len(E_PROPS)
     assert sum(1 for r in rows if r.idempotent is None) == len(GLOBAL_PROPS)
-    rows = survey(R, properties=["reversible", "right_e_reversible"],
-                  idempotent=3)
-    assert [(r.property, r.idempotent) for r in rows] == \
-        [("reversible", None), ("right_e_reversible", "3")]
 
 
 def test_verdict_to_dict_is_stable(rings):
@@ -342,3 +338,42 @@ def test_sweep_caches_match_naive_minima_on_broken_tables(rings, text, data):
         i, j, v = (data.draw(st.integers(0, R.order - 1)) for _ in range(3))
         mul[i, j] = v
     assert_sweeps_match_naive(build_ring(R.add, mul, R.zero, R.one, R.labels))
+
+
+# nilpotency on tables that build_ring accepts but that are not rings
+
+def broken_ring(R, cells):
+    mul = R.mul.copy()
+    for i, j, v in cells:
+        mul[i, j] = v
+    return build_ring(R.add, mul, R.zero, R.one, R.labels)
+
+
+def test_reduced_decides_a_table_whose_squares_and_powers_disagree(rings):
+    # 1*1 = 2 and 2*2 = 0, so 1 squares to 0, but its right powers
+    # 1, 2, 2*1 = 2, ... never reach 0
+    S = broken_ring(rings["Z(4)"], [(1, 1, 2)])
+    assert nilpotents(S).tolist() == [0, 2]
+    assert nilpotency_index(S, 1) is None
+    assert nilpotency_index(S, 2) == 2
+    v = check_property(S, "reduced")
+    assert v.status == "fails" and v.witness == (2,)
+    assert v.detail == "2^2 = 0"
+    assert replay_witness(S, "reduced", None, v.witness)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(SMALL_RINGS), st.data())
+def test_reduced_witness_is_the_least_replaying_one_on_broken_tables(rings, text, data):
+    R = rings[text]
+    cells = data.draw(st.lists(st.tuples(*[st.integers(0, R.order - 1)] * 3),
+                               min_size=1, max_size=3))
+    S = broken_ring(R, cells)
+    cases = [("reduced", None)] + [
+        (prop, int(e)) for e in idempotents(S) if e != S.zero
+        for prop in ("right_e_reduced", "left_e_reduced")]
+    for prop, e in cases:
+        v = check_property(S, prop, e)
+        replaying = [(x,) for x in range(S.order)
+                     if replay_witness(S, prop, e, (x,))]
+        assert v.witness == (replaying[0] if replaying else None), (prop, e)
