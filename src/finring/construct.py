@@ -594,9 +594,11 @@ def twisted_u2(base: RingTable, images, guards: Guards = DEFAULT_GUARDS,
                 badd[bmul[a, y], bmul[b, images[z]]],
                 bmul[c, z]]
 
-    return _coord_ring(layout.space, layout, _componentwise([badd] * 3),
+    ring = _coord_ring(layout.space, layout, _componentwise([badd] * 3),
                        mulfn, [base.zero] * 3, [base.one, base.zero, base.one],
                        prov, guards)
+    ring._cache["images"] = images
+    return ring
 
 
 def trs(base: RingTable, gens, n: int, guards: Guards = DEFAULT_GUARDS,
@@ -679,15 +681,19 @@ def corner(R: RingTable, e, guards: Guards = DEFAULT_GUARDS,
     return ring, members
 
 
+def _check_modulus_and_dimension(p: int, d: int):
+    if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
+        raise RingError("modulus %d is not prime" % p)
+    if d < 1:
+        raise RingError("dimension must be >= 1")
+
+
 def algebra_from_structure_constants(p: int, d: int, consts,
                                      guards: Guards = DEFAULT_GUARDS,
                                      provenance: str = None) -> RingTable:
     """Finite algebra over Z/p from a d x d x d table of basis
     products; basis vector 0 must act as the identity."""
-    if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
-        raise RingError("modulus %d is not prime" % p)
-    if d < 1:
-        raise RingError("dimension must be >= 1")
+    _check_modulus_and_dimension(p, d)
     C = np.asarray(consts, dtype=np.int64)
     if C.shape != (d, d, d):
         raise RingError("structure constants must have shape (%d,%d,%d)"
@@ -731,6 +737,7 @@ def algebra_from_structure_constants(p: int, d: int, consts,
 def _algebra(p: int, d: int, node: BracketList, guards: Guards,
              prov: str) -> RingTable:
     """algebra(p,d,...) from its parsed bracket list of constants."""
+    _check_modulus_and_dimension(p, d)
     C = np.zeros((d, d, d), dtype=np.int64)
     if len(node.items) != d:
         raise RingError("structure constants must have %d rows" % d)

@@ -8,7 +8,7 @@ immutable once built: predicates cache derived sweeps on the ring.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -44,6 +44,15 @@ class Guards:
 
 
 DEFAULT_GUARDS = Guards()
+
+
+def _guard_skip(guards: Guards, kind: str, order: int) -> Optional[str]:
+    """Why a "pair" or "triple" sweep skips a ring of this order, or
+    None when the order is within that sweep's guard."""
+    cap = guards.pair_cap if kind == "pair" else guards.triple_cap
+    if order > cap:
+        return "order %d exceeds the %s sweep guard %d" % (order, kind, cap)
+    return None
 
 
 @dataclass(eq=False)

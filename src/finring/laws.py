@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .core import DEFAULT_GUARDS, Guards, RingError, RingTable, SizeGuardError
-from .core import verify_axioms
+from .core import _guard_skip, verify_axioms
 from .construct import (build_expr, corner, is_ideal, quotient,
                         resolve_element)
 from .dsl import ParseError, parse
@@ -169,21 +169,40 @@ def _ok(R, prop, e, guards):
     return check_property(R, prop, e, guards).status == "holds"
 
 
-def _pair_skip(law, R, guards, order=None):
-    """R's case skipped: order (R's own by default) is past the guard."""
-    return LawCase(law, R.provenance, None, "skipped",
-                   reason="order %d exceeds the pair sweep guard %d"
-                          % (order or R.order, guards.pair_cap))
+def _entries(corpus, constructor=None):
+    """The corpus rings, or those whose outermost constructor is named."""
+    return [ent.ring for ent in corpus.rings()
+            if constructor in (None, ent.node.name)]
+
+
+@dataclass(frozen=True)
+class _Cases:
+    """The case factory of one law, bound to its name: a law is a
+    generator (case, corpus, guards) that yields only cases made here."""
+
+    law: str
+
+    def __call__(self, ring, idem, status, **fields) -> LawCase:
+        return LawCase(self.law, ring, idem, status, **fields)
+
+    def verdict(self, ring, idem, ok, reason, **fields) -> LawCase:
+        """holds when ok, else violated for reason."""
+        return self(ring, idem, "holds" if ok else "violated",
+                    reason=None if ok else reason, **fields)
+
+    def skip(self, R, guards, kind="pair", order=None) -> LawCase:
+        """R's case skipped: order (R's own by default) is past the
+        guard of a kind sweep."""
+        return self(R.provenance, None, "skipped",
+                    reason=_guard_skip(guards, kind, order or R.order))
 
 
 # --- corner characterization -------------------------------------------------
 
-def _law_ere(corpus, guards):
-    cases = []
-    for ent in corpus.rings():
-        R = ent.ring
+def _law_ere(case, corpus, guards):
+    for R in _entries(corpus):
         if R.order > guards.pair_cap:
-            cases.append(_pair_skip("ere", R, guards))
+            yield case.skip(R, guards)
             continue
         for f in _nz_idem(R):
             sub, _ = corner(R, f, guards)
@@ -197,16 +216,10 @@ def _law_ere(corpus, guards):
             detail = ("corner order %d reversible=%s; semicentral left=%s "
                       "right=%s; relative right=%s left=%s"
                       % (sub.order, rev, lsc, rsc, right, left))
-            if okr and okl:
-                cases.append(LawCase("ere", R.provenance, R.labels[f],
-                                     "holds", detail=detail))
-            else:
-                side = "right" if not okr else "left"
-                cases.append(LawCase("ere", R.provenance, R.labels[f],
-                                     "violated", detail=detail,
-                                     reason="%s-side characterization broke"
-                                            % side))
-    return cases
+            side = "right" if not okr else "left"
+            yield case.verdict(R.provenance, R.labels[f], okr and okl,
+                               "%s-side characterization broke" % side,
+                               detail=detail)
 
 
 # --- semiprime collapse ------------------------------------------------------
@@ -215,20 +228,16 @@ _COLLAPSE_LEGS = ("right_e_reversible", "right_e_reduced", "e_symmetric",
                   "right_e_semicommutative")
 
 
-def _law_semiprime_collapse(corpus, guards):
-    cases = []
-    for ent in corpus.rings():
-        R = ent.ring
+def _law_semiprime_collapse(case, corpus, guards):
+    for R in _entries(corpus):
         sp = check_property(R, "semiprime", None, guards)
         if sp.status == "skipped":
-            cases.append(LawCase("semiprime_collapse", R.provenance, None,
-                                 "skipped", reason=sp.reason))
+            yield case(R.provenance, None, "skipped", reason=sp.reason)
             continue
         if sp.status == "fails":
-            cases.append(LawCase("semiprime_collapse", R.provenance, None,
-                                 "not-applicable", witness=sp.witness,
-                                 witness_labels=sp.witness_labels,
-                                 reason="not semiprime"))
+            yield case(R.provenance, None, "not-applicable",
+                       witness=sp.witness, witness_labels=sp.witness_labels,
+                       reason="not semiprime")
             continue
         for f in _nz_idem(R):
             legs = [(p, check_property(R, p, f, guards))
@@ -236,38 +245,30 @@ def _law_semiprime_collapse(corpus, guards):
             live = [(p, v) for p, v in legs if v.status != "skipped"]
             dropped = [p for p, v in legs if v.status == "skipped"]
             if len(live) < 2:
-                cases.append(LawCase("semiprime_collapse", R.provenance,
-                                     R.labels[f], "skipped",
-                                     reason="guards left fewer than two "
-                                            "conditions to compare"))
+                yield case(R.provenance, R.labels[f], "skipped",
+                           reason="guards left fewer than two conditions "
+                                  "to compare")
                 continue
             verdicts = [(p, v.status == "holds") for p, v in live]
             detail = "; ".join("%s=%s" % pv for pv in verdicts)
             if dropped:
                 detail += "; skipped: " + ", ".join(dropped)
             if len({val for _, val in verdicts}) == 1:
-                cases.append(LawCase("semiprime_collapse", R.provenance,
-                                     R.labels[f], "holds", detail=detail))
-            else:
-                bad = next(v for _, v in live if v.status == "fails")
-                cases.append(LawCase("semiprime_collapse", R.provenance,
-                                     R.labels[f], "violated",
-                                     witness=bad.witness,
-                                     witness_labels=bad.witness_labels,
-                                     detail=detail,
-                                     reason="conditions disagree on a "
-                                            "semiprime ring"))
-    return cases
+                yield case(R.provenance, R.labels[f], "holds", detail=detail)
+                continue
+            bad = next(v for _, v in live if v.status == "fails")
+            yield case(R.provenance, R.labels[f], "violated",
+                       witness=bad.witness, witness_labels=bad.witness_labels,
+                       detail=detail,
+                       reason="conditions disagree on a semiprime ring")
 
 
 # --- complemented idempotent pair --------------------------------------------
 
-def _law_e_and_complement(corpus, guards):
-    cases = []
-    for ent in corpus.rings():
-        R = ent.ring
+def _law_e_and_complement(case, corpus, guards):
+    for R in _entries(corpus):
         if R.order > guards.pair_cap:
-            cases.append(_pair_skip("e_and_complement", R, guards))
+            yield case.skip(R, guards)
             continue
         good = []
         for f in _nz_idem(R):
@@ -278,10 +279,9 @@ def _law_e_and_complement(corpus, guards):
                     _ok(R, "right_e_reversible", g, guards):
                 good.append(f)
         if not good:
-            cases.append(LawCase("e_and_complement", R.provenance, None,
-                                 "not-applicable",
-                                 reason="no nonzero idempotent e with both "
-                                        "e and 1-e right-reversible-relative"))
+            yield case(R.provenance, None, "not-applicable",
+                       reason="no nonzero idempotent e with both e and 1-e "
+                              "right-reversible-relative")
             continue
         sp = _ok(R, "semiprime", None, guards)
         red = _ok(R, "reduced", None, guards)
@@ -292,32 +292,19 @@ def _law_e_and_complement(corpus, guards):
         ok = (sp == red) and (rev or not red)
         detail = ("semiprime=%s reduced=%s reversible=%s; %d admissible "
                   "idempotents" % (sp, red, rev, len(good)))
-        cases.append(LawCase("e_and_complement", R.provenance,
-                             R.labels[good[0]],
-                             "holds" if ok else "violated", detail=detail,
-                             reason=None if ok else "provable directions "
-                                                    "disagree"))
-    return cases
+        yield case.verdict(R.provenance, R.labels[good[0]], ok,
+                           "provable directions disagree", detail=detail)
 
 
 # --- prime versus domain ------------------------------------------------------
 
-def _law_prime_domain(corpus, guards):
-    cases = []
-    for ent in corpus.rings():
-        R = ent.ring
+def _law_prime_domain(case, corpus, guards):
+    for R in _entries(corpus):
         if R.order > guards.triple_cap:
-            cases.append(LawCase("prime_domain", R.provenance, None,
-                                 "skipped",
-                                 reason="order %d exceeds the triple sweep "
-                                        "guard %d" % (R.order,
-                                                      guards.triple_cap)))
+            yield case.skip(R, guards, "triple")
             continue
-        some = None
-        for f in _nz_idem(R):
-            if _ok(R, "right_e_reversible", f, guards):
-                some = f
-                break
+        some = next((f for f in _nz_idem(R)
+                     if _ok(R, "right_e_reversible", f, guards)), None)
         pr = _ok(R, "prime", None, guards)
         dom = _ok(R, "domain", None, guards)
         fin = _ok(R, "directly_finite", None, guards)
@@ -325,21 +312,16 @@ def _law_prime_domain(corpus, guards):
         detail = ("prime=%s domain=%s directly_finite=%s; reversible-relative "
                   "witness=%s" % (pr, dom, fin,
                                   R.labels[some] if some is not None else None))
-        cases.append(LawCase("prime_domain", R.provenance, None,
-                             "holds" if ok else "violated", detail=detail,
-                             reason=None if ok else "domain equivalence or "
-                                                    "direct finiteness broke"))
-    return cases
+        yield case.verdict(R.provenance, None, ok, "domain equivalence or "
+                           "direct finiteness broke", detail=detail)
 
 
 # --- minimal idempotents ------------------------------------------------------
 
-def _law_min_abel(corpus, guards):
-    cases = []
-    for ent in corpus.rings():
-        R = ent.ring
+def _law_min_abel(case, corpus, guards):
+    for R in _entries(corpus):
         if R.order > guards.pair_cap:
-            cases.append(_pair_skip("min_abel", R, guards))
+            yield case.skip(R, guards)
             continue
         mel = [int(x) for x in minimal_left_idempotents(R)]
         ma = is_left_min_abel(R)
@@ -353,26 +335,20 @@ def _law_min_abel(corpus, guards):
                   "right-reversible leg=%s; symmetric leg=%s"
                   % (ma, len(mel), leg_rev,
                      "skipped" if leg_sym is None else leg_sym))
-        cases.append(LawCase("min_abel", R.provenance, None,
-                             "holds" if ok else "violated", detail=detail,
-                             reason=None if ok else "legs disagree"))
-    return cases
+        yield case.verdict(R.provenance, None, ok, "legs disagree",
+                           detail=detail)
 
 
 # --- products -----------------------------------------------------------------
 
-def _law_products(corpus, guards):
-    cases = []
-    for ent in corpus.rings():
-        if ent.node.name != "prod":
-            continue
-        P = ent.ring
+def _law_products(case, corpus, guards):
+    for P in _entries(corpus, "prod"):
         if len(P.layout.comps) != 2:
-            cases.append(LawCase("products", P.provenance, None, "skipped",
-                                 reason="only two-factor products are swept"))
+            yield case(P.provenance, None, "skipped",
+                       reason="only two-factor products are swept")
             continue
         if P.order > guards.pair_cap:
-            cases.append(_pair_skip("products", P, guards))
+            yield case.skip(P, guards)
             continue
         F = P.layout.comps
         space = P.layout.space
@@ -382,25 +358,18 @@ def _law_products(corpus, guards):
                 v2 = _ok(F[1], "right_e_reversible", e2, guards)
                 E = int(space.compose_scalar([e1, e2]))
                 vp = _ok(P, "right_e_reversible", E, guards)
-                ok = vp == (v1 and v2)
                 detail = ("components %s -> %s, %s -> %s; product -> %s"
                           % (F[0].labels[e1], v1, F[1].labels[e2], v2, vp))
-                cases.append(LawCase("products", P.provenance, P.labels[E],
-                                     "holds" if ok else "violated",
-                                     detail=detail,
-                                     reason=None if ok else "componentwise "
-                                                            "equivalence broke"))
-    return cases
+                yield case.verdict(P.provenance, P.labels[E],
+                                   vp == (v1 and v2),
+                                   "componentwise equivalence broke",
+                                   detail=detail)
 
 
 # --- lifting along a quotient ---------------------------------------------------
 
-def _law_quotient_lift(corpus, guards):
-    cases = []
-    for ent in corpus.rings():
-        if ent.node.name != "quot":
-            continue
-        Q = ent.ring
+def _law_quotient_lift(case, corpus, guards):
+    for Q in _entries(corpus, "quot"):
         base = Q.layout.base
         I = Q._cache["ideal"]
         proj = Q._cache["projection"]
@@ -408,43 +377,32 @@ def _law_quotient_lift(corpus, guards):
               if int(x) != base.zero
               and int(base.mul[x, x]) == base.zero]
         if sq:
-            cases.append(LawCase("quotient_lift", Q.provenance, None,
-                                 "not-applicable",
-                                 witness=(sq[0],),
-                                 witness_labels=(base.labels[sq[0]],),
-                                 reason="the ideal has a nonzero square-zero "
-                                        "element, so it is not reduced as a "
-                                        "rng"))
+            yield case(Q.provenance, None, "not-applicable", witness=(sq[0],),
+                       witness_labels=(base.labels[sq[0]],),
+                       reason="the ideal has a nonzero square-zero element, "
+                              "so it is not reduced as a rng")
             continue
         if base.order > guards.pair_cap:
-            cases.append(_pair_skip("quotient_lift", Q, guards, base.order))
+            yield case.skip(Q, guards, order=base.order)
             continue
         for e in _nz_idem(base):
             eb = int(proj[e])
             if eb == Q.zero:
-                cases.append(LawCase("quotient_lift", Q.provenance,
-                                     base.labels[e], "not-applicable",
-                                     reason="the idempotent falls into the "
-                                            "ideal"))
+                yield case(Q.provenance, base.labels[e], "not-applicable",
+                           reason="the idempotent falls into the ideal")
                 continue
             if not _ok(Q, "right_e_reversible", eb, guards):
-                cases.append(LawCase("quotient_lift", Q.provenance,
-                                     base.labels[e], "holds",
-                                     detail="premise fails: the quotient is "
-                                            "not right reversible relative "
-                                            "to %s" % Q.labels[eb]))
+                yield case(Q.provenance, base.labels[e], "holds",
+                           detail="premise fails: the quotient is not right "
+                                  "reversible relative to %s" % Q.labels[eb])
                 continue
             lift = _ok(base, "right_e_reversible", e, guards)
             semi = is_left_semicentral(base, e)
-            ok = lift and semi
             detail = ("quotient reversible relative to %s; base lift=%s, "
                       "left semicentral=%s" % (Q.labels[eb], lift, semi))
-            cases.append(LawCase("quotient_lift", Q.provenance,
-                                 base.labels[e],
-                                 "holds" if ok else "violated", detail=detail,
-                                 reason=None if ok else "conclusion fails "
-                                                        "under a true premise"))
-    return cases
+            yield case.verdict(Q.provenance, base.labels[e], lift and semi,
+                               "conclusion fails under a true premise",
+                               detail=detail)
 
 
 # --- quotient by a right annihilator --------------------------------------------
@@ -459,78 +417,61 @@ _ANN_FIXTURES = (
 )
 
 
-def _law_annihilator_quotient(corpus, guards):
-    cases = []
+def _law_annihilator_quotient(case, corpus, guards):
     for rtext, jtext in _ANN_FIXTURES:
         R = build_expr(rtext, guards)
         j = resolve_element(R, jtext)
         ann = right_annihilator(R, [j])
         jtag = "annihilated set {%s}" % R.labels[j]
         if R.one in set(int(x) for x in ann):
-            cases.append(LawCase("annihilator_quotient", R.provenance, None,
-                                 "skipped",
-                                 reason="%s: the annihilator is improper"
-                                        % jtag))
+            yield case(R.provenance, None, "skipped",
+                       reason="%s: the annihilator is improper" % jtag)
             continue
         if not is_ideal(R, ann):
-            cases.append(LawCase("annihilator_quotient", R.provenance, None,
-                                 "violated",
-                                 reason="%s: the right annihilator is not "
-                                        "two-sided, which the symmetric "
-                                        "hypothesis should prevent" % jtag))
+            yield case(R.provenance, None, "violated",
+                       reason="%s: the right annihilator is not two-sided, "
+                              "which the symmetric hypothesis should prevent"
+                              % jtag)
             continue
         Q, proj = quotient(R, [int(x) for x in ann], guards)
         for e in _nz_idem(R):
             sym = check_property(R, "e_symmetric", e, guards)
             if sym.status == "skipped":
-                cases.append(LawCase("annihilator_quotient", R.provenance,
-                                     R.labels[e], "skipped",
-                                     reason=sym.reason))
+                yield case(R.provenance, R.labels[e], "skipped",
+                           reason=sym.reason)
                 continue
             if sym.status == "fails":
-                cases.append(LawCase("annihilator_quotient", R.provenance,
-                                     R.labels[e], "not-applicable",
-                                     reason="%s: the ring is not symmetric "
-                                            "relative to this idempotent"
-                                            % jtag))
+                yield case(R.provenance, R.labels[e], "not-applicable",
+                           reason="%s: the ring is not symmetric relative to "
+                                  "this idempotent" % jtag)
                 continue
             eb = int(proj[e])
             if eb == Q.zero:
-                cases.append(LawCase("annihilator_quotient", R.provenance,
-                                     R.labels[e], "not-applicable",
-                                     reason="%s: the idempotent collapses "
-                                            "into the annihilator" % jtag))
+                yield case(R.provenance, R.labels[e], "not-applicable",
+                           reason="%s: the idempotent collapses into the "
+                                  "annihilator" % jtag)
                 continue
-            ok = _ok(Q, "right_e_reversible", eb, guards)
-            detail = ("%s: quotient %s tested relative to %s"
-                      % (jtag, Q.provenance, Q.labels[eb]))
-            cases.append(LawCase("annihilator_quotient", R.provenance,
-                                 R.labels[e], "holds" if ok else "violated",
-                                 detail=detail,
-                                 reason=None if ok else "the quotient lost "
-                                                        "right reversibility"))
-    return cases
+            yield case.verdict(R.provenance, R.labels[e],
+                               _ok(Q, "right_e_reversible", eb, guards),
+                               "the quotient lost right reversibility",
+                               detail="%s: quotient %s tested relative to %s"
+                                      % (jtag, Q.provenance, Q.labels[eb]))
 
 
 # --- unitalization ---------------------------------------------------------------
 
-def _law_dorroh(corpus, guards):
-    cases = []
-    for ent in corpus.rings():
-        if ent.node.name != "dorroh":
-            continue
-        D = ent.ring
+def _law_dorroh(case, corpus, guards):
+    for D in _entries(corpus, "dorroh"):
         base, S = D.layout.comps
         m = S.layout.members
         cen = set(int(x) for x in center(base))
         if not all(int(x) in cen for x in m):
-            cases.append(LawCase("dorroh", D.provenance, None,
-                                 "not-applicable",
-                                 reason="the adjoined scalars are not "
-                                        "central in the base"))
+            yield case(D.provenance, None, "not-applicable",
+                       reason="the adjoined scalars are not central in the "
+                              "base")
             continue
         if D.order > guards.pair_cap:
-            cases.append(_pair_skip("dorroh", D, guards))
+            yield case.skip(D, guards)
             continue
         isid = np.zeros(base.order, dtype=bool)
         isid[idempotents(base)] = True
@@ -539,27 +480,20 @@ def _law_dorroh(corpus, guards):
         actual[idempotents(D)] = True
         shape_ok = bool(np.array_equal(actual.reshape(base.order, len(m)),
                                        expect))
-        cases.append(LawCase("dorroh", D.provenance, None,
-                             "holds" if shape_ok else "violated",
-                             detail="idempotent shape checked over %d pairs: "
-                                    "(a, b) idempotent iff a+b and b are"
-                                    % D.order,
-                             reason=None if shape_ok else "idempotent "
-                                                          "characterization "
-                                                          "broke"))
+        yield case.verdict(D.provenance, None, shape_ok,
+                           "idempotent characterization broke",
+                           detail="idempotent shape checked over %d pairs: "
+                                  "(a, b) idempotent iff a+b and b are"
+                                  % D.order)
         space = D.layout.space
         for e in _nz_idem(base):
             De = int(space.compose_scalar([e, S.zero]))
             vd = _ok(D, "right_e_reversible", De, guards)
             vb = _ok(base, "right_e_reversible", e, guards)
-            ok = vd == vb
             detail = ("base idempotent %s -> %s; extension -> %s"
                       % (base.labels[e], vb, vd))
-            cases.append(LawCase("dorroh", D.provenance, D.labels[De],
-                                 "holds" if ok else "violated", detail=detail,
-                                 reason=None if ok else "transfer "
-                                                        "equivalence broke"))
-    return cases
+            yield case.verdict(D.provenance, D.labels[De], vd == vb,
+                               "transfer equivalence broke", detail=detail)
 
 
 # --- constrained 3x3 extension ----------------------------------------------------
@@ -584,17 +518,13 @@ def _h_families(base, e, s, t, sinv, tinv):
             (z, mi(int(base.neg[sinv]), e), mi(tinv, e))]
 
 
-def _law_h_ring(corpus, guards):
-    cases = []
-    for ent in corpus.rings():
-        if ent.node.name != "H":
-            continue
-        H = ent.ring
+def _law_h_ring(case, corpus, guards):
+    for H in _entries(corpus, "H"):
         base, s, t = H.layout.base, H.layout.s, H.layout.t
         sinv = unit_inverse(base, s)
         tinv = unit_inverse(base, t)
         if H.order > guards.pair_cap:
-            cases.append(_pair_skip("h_ring", H, guards))
+            yield case.skip(H, guards)
             continue
         space = H.layout.space
         seen = set()
@@ -608,41 +538,31 @@ def _law_h_ring(corpus, guards):
             ve = _ok(base, "right_e_reversible", e, guards)
             for E in idxs:
                 if int(H.mul[E, E]) != E:
-                    cases.append(LawCase("h_ring", H.provenance, H.labels[E],
-                                         "violated",
-                                         reason="a catalogued element is not "
-                                                "idempotent"))
+                    yield case(H.provenance, H.labels[E], "violated",
+                               reason="a catalogued element is not "
+                                      "idempotent")
                     continue
                 vE = _ok(H, "right_e_reversible", E, guards)
-                ok = vE == ve
                 detail = ("base idempotent %s -> %s; extension -> %s"
                           % (base.labels[e], ve, vE))
-                cases.append(LawCase("h_ring", H.provenance, H.labels[E],
-                                     "holds" if ok else "violated",
-                                     detail=detail,
-                                     reason=None if ok else "transfer "
-                                                            "equivalence "
-                                                            "broke"))
+                yield case.verdict(H.provenance, H.labels[E], vE == ve,
+                                   "transfer equivalence broke",
+                                   detail=detail)
         total = len(idempotents(H))
-        cases.append(LawCase("h_ring", H.provenance, None, "holds",
-                             detail="catalogued families cover %d of %d "
-                                    "idempotents; coverage is reported, not "
-                                    "asserted" % (len(seen), total)))
-    return cases
+        yield case(H.provenance, None, "holds",
+                   detail="catalogued families cover %d of %d idempotents; "
+                          "coverage is reported, not asserted"
+                          % (len(seen), total))
 
 
 # --- twisted triangular extension ---------------------------------------------------
 
-def _law_twisted_u2(corpus, guards):
-    cases = []
-    for ent in corpus.rings():
-        if ent.node.name != "twist":
-            continue
-        T = ent.ring
+def _law_twisted_u2(case, corpus, guards):
+    for T in _entries(corpus, "twist"):
         base = T.layout.base
-        images = [resolve_element(base, im) for im in ent.node.args[1]]
+        images = T._cache["images"]
         if T.order > guards.pair_cap:
-            cases.append(_pair_skip("twisted_u2", T, guards))
+            yield case.skip(T, guards)
             continue
         space = T.layout.space
         for e in _nz_idem(base):
@@ -654,29 +574,23 @@ def _law_twisted_u2(corpus, guards):
                       % (vT, vR, base.labels[e], base.labels[images[e]],
                          "two-way" if killed else "forward only"))
             if vT and not vR:
-                cases.append(LawCase("twisted_u2", T.provenance, T.labels[E],
-                                     "violated", detail=detail,
-                                     reason="the forward direction broke"))
+                reason = "the forward direction broke"
             elif killed and vT != vR:
-                cases.append(LawCase("twisted_u2", T.provenance, T.labels[E],
-                                     "violated", detail=detail,
-                                     reason="the map kills the idempotent "
-                                            "yet the verdicts differ"))
+                reason = "the map kills the idempotent yet the verdicts differ"
             else:
-                cases.append(LawCase("twisted_u2", T.provenance, T.labels[E],
-                                     "holds", detail=detail))
+                reason = None
+            yield case.verdict(T.provenance, T.labels[E], reason is None,
+                               reason, detail=detail)
     # a table that fixes 0 and 1 but breaks addition must be rejected
     bad = "twist(Z(4),hom[#0,#1,#3,#2])"
     try:
         build_expr(bad, guards)
     except RingError as err:
-        cases.append(LawCase("twisted_u2", bad, None, "skipped",
-                             reason="construction rejected: %s" % err))
+        yield case(bad, None, "skipped",
+                   reason="construction rejected: %s" % err)
     else:
-        cases.append(LawCase("twisted_u2", bad, None, "violated",
-                             reason="a non-additive twisting map was "
-                                    "accepted"))
-    return cases
+        yield case(bad, None, "violated",
+                   reason="a non-additive twisting map was accepted")
 
 
 # --- pinned example scenes -----------------------------------------------------------
@@ -728,40 +642,36 @@ _SCENE_REPLAYS = (
 )
 
 
-def _scene_case(scene, ring, idem, ok, detail, witness=None, labels=None):
-    return LawCase("examples", ring, idem, "holds" if ok else "violated",
-                   witness=witness, witness_labels=labels,
-                   detail="scene %s: %s" % (scene, detail),
-                   reason=None if ok else "pinned expectation not reproduced")
+def _scene(case, scene, ring, idem, ok, detail, **fields):
+    return case.verdict(ring, idem, ok, "pinned expectation not reproduced",
+                        detail="scene %s: %s" % (scene, detail), **fields)
 
 
-def _scenes_simple(guards):
-    cases = []
+def _scenes_simple(case, guards):
     built = {}
     for scene, rtext, prop, idem, want in _SCENE_CHECKS:
         if rtext not in built:
             built[rtext] = build_expr(rtext, guards)
         R = built[rtext]
         v = check_property(R, prop, idem, guards)
-        ok = v.status == want
         detail = ("%s relative to %s expected %s, engine says %s"
                   % (prop, idem, want, v.status) if idem is not None
                   else "%s expected %s, engine says %s" % (prop, want,
                                                            v.status))
-        cases.append(_scene_case(scene, R.provenance, idem, ok, detail,
-                                 v.witness, v.witness_labels))
+        yield _scene(case, scene, R.provenance, idem, v.status == want,
+                     detail, witness=v.witness,
+                     witness_labels=v.witness_labels)
     for scene, rtext, prop, idem, wit in _SCENE_REPLAYS:
         if rtext not in built:
             built[rtext] = build_expr(rtext, guards)
         R = built[rtext]
         ok = replay_witness(R, prop, idem, wit)
-        cases.append(_scene_case(scene, R.provenance, idem, ok,
-                                 "pinned witness %s replays to a genuine "
-                                 "violation of %s: %s" % (list(wit), prop, ok)))
-    return cases
+        yield _scene(case, scene, R.provenance, idem, ok,
+                     "pinned witness %s replays to a genuine violation of "
+                     "%s: %s" % (list(wit), prop, ok))
 
 
-def _scene_e_extension(guards):
+def _scene_e_extension(case, guards):
     # the doubled-column idempotent in the 3x3 extension of the 16-element
     # algebra: a product of witnesses dies, its reverse survives the
     # idempotent on the right
@@ -779,14 +689,13 @@ def _scene_e_extension(guards):
              and int(H.mul[BA, E]) == BA
              and BA != H.zero
              and replay_witness(H, "right_e_reversible", E, (A, B)))
-    return [_scene_case("e", H.provenance, H.labels[E], facts,
-                        "AB = 0 while BAE = BA is nonzero for the doubled "
-                        "witnesses; replay=%s" % facts,
-                        witness=(A, B),
-                        labels=(H.labels[A], H.labels[B]))]
+    yield _scene(case, "e", H.provenance, H.labels[E], facts,
+                 "AB = 0 while BAE = BA is nonzero for the doubled "
+                 "witnesses; replay=%s" % facts,
+                 witness=(A, B), witness_labels=(H.labels[A], H.labels[B]))
 
 
-def _scene_f_nested(guards):
+def _scene_f_nested(case, guards):
     # constant-diagonal 2x2 over the 3x3-triangular base: the pinned
     # witnesses use 2 for -1 so nothing degenerates mod 3
     D = build_expr("D(2,U(2,Z(3)))", guards)
@@ -807,14 +716,13 @@ def _scene_f_nested(guards):
              and int(D.mul[int(D.mul[B, A]), E]) != D.zero
              and v.status == "fails"
              and replay_witness(D, "right_e_reversible", E, (A, B)))
-    return [_scene_case("f", D.provenance, D.labels[E], facts,
-                        "sweep fails with witness %s; the pinned witness "
-                        "pair replays too" % (list(v.witness_labels or ()),),
-                        witness=(A, B),
-                        labels=(D.labels[A], D.labels[B]))]
+    yield _scene(case, "f", D.provenance, D.labels[E], facts,
+                 "sweep fails with witness %s; the pinned witness pair "
+                 "replays too" % (list(v.witness_labels or ()),),
+                 witness=(A, B), witness_labels=(D.labels[A], D.labels[B]))
 
 
-def _scene_g_constant_diag(guards):
+def _scene_g_constant_diag(case, guards):
     D = build_expr("D(3,Z(2))", guards)
     space = D.layout.space
     ids = sorted(int(x) for x in idempotents(D))
@@ -836,62 +744,56 @@ def _scene_g_constant_diag(guards):
         coords = dec(mul[zz, x])
         if np.any(coords[0] != 0) or np.any(coords[1] != 0):
             bad += 1
-    return [
-        _scene_case("g", D.provenance, None, census,
-                    "idempotent census: only 0 and 1; found %s"
-                    % [D.labels[i] for i in ids]),
-        _scene_case("g", D.provenance, D.labels[D.one], wit,
-                    "AB = 0 with BA nonzero kills right reversibility at "
-                    "the identity",
-                    witness=(A, B), labels=(D.labels[A], D.labels[B])),
-        _scene_case("g", D.provenance, None, bad == 0,
-                    "ambient check: whenever AB = 0, BA has zero diagonal "
-                    "and zero top-middle entry; %d violations" % bad),
-    ]
+    yield _scene(case, "g", D.provenance, None, census,
+                 "idempotent census: only 0 and 1; found %s"
+                 % [D.labels[i] for i in ids])
+    yield _scene(case, "g", D.provenance, D.labels[D.one], wit,
+                 "AB = 0 with BA nonzero kills right reversibility at the "
+                 "identity",
+                 witness=(A, B), witness_labels=(D.labels[A], D.labels[B]))
+    yield _scene(case, "g", D.provenance, None, bad == 0,
+                 "ambient check: whenever AB = 0, BA has zero diagonal and "
+                 "zero top-middle entry; %d violations" % bad)
 
 
-def _scene_j_anti_delta(guards):
+def _scene_j_anti_delta(case, guards):
     K = build_expr("K(Z(3),0)", guards)
     ids = _nz_idem(K)
-    cases = [_scene_case("j", K.provenance, None, len(ids) == 19,
-                         "idempotent census: %d nonzero idempotents "
-                         "(expected 19)" % len(ids))]
+    yield _scene(case, "j", K.provenance, None, len(ids) == 19,
+                 "idempotent census: %d nonzero idempotents (expected 19)"
+                 % len(ids))
     for e in ids:
         v = check_property(K, "right_e_reversible", e, guards)
         ok = (v.status == "fails"
               and replay_witness(K, "right_e_reversible", e, v.witness[:2]))
-        cases.append(_scene_case("j", K.provenance, K.labels[e], ok,
-                                 "expected fails with a replayable witness; "
-                                 "engine says %s, witness %s"
-                                 % (v.status, list(v.witness_labels or ())),
-                                 v.witness, v.witness_labels))
-    return cases
+        yield _scene(case, "j", K.provenance, K.labels[e], ok,
+                     "expected fails with a replayable witness; engine says "
+                     "%s, witness %s"
+                     % (v.status, list(v.witness_labels or ())),
+                     witness=v.witness, witness_labels=v.witness_labels)
 
 
-def _scene_k_nested_product(guards):
+def _scene_k_nested_product(case, guards):
     T = build_expr(_TRS_TEXT, guards)
     E = resolve_element(T, "([[1,1],[0,0]],[[1,1],[0,0]])")
     v = check_property(T, "right_e_reversible", E, guards)
     ok = int(T.mul[E, E]) == E and v.status == "fails"
-    return [_scene_case("k", T.provenance, T.labels[E], ok,
-                        "expected fails; engine says %s with witness %s"
-                        % (v.status, list(v.witness_labels or ())),
-                        v.witness, v.witness_labels)]
+    yield _scene(case, "k", T.provenance, T.labels[E], ok,
+                 "expected fails; engine says %s with witness %s"
+                 % (v.status, list(v.witness_labels or ())),
+                 witness=v.witness, witness_labels=v.witness_labels)
 
 
-def _law_examples(corpus, guards):
-    cases = _scenes_simple(guards)
-    cases += _scene_e_extension(guards)
-    cases += _scene_f_nested(guards)
-    cases += _scene_g_constant_diag(guards)
-    cases += _scene_j_anti_delta(guards)
-    cases += _scene_k_nested_product(guards)
-    return cases
+def _law_examples(case, corpus, guards):
+    for scenes in (_scenes_simple, _scene_e_extension, _scene_f_nested,
+                   _scene_g_constant_diag, _scene_j_anti_delta,
+                   _scene_k_nested_product):
+        yield from scenes(case, guards)
 
 
 # --- law table and runners -------------------------------------------------------------
 
-# name -> (statement, checker), in canonical order
+# name -> (statement, checker), in canonical order; see _Cases
 _LAWS = {
     "ere": ("right reversibility relative to e holds exactly when e is left "
             "semicentral and the corner ring at e is reversible; on the left "
@@ -954,7 +856,7 @@ def run_law(law: str, corpus: Corpus,
     (law,) = select_laws([law])
     t0 = time.perf_counter()
     statement, checker = _LAWS[law]
-    cases = checker(corpus, guards)
+    cases = list(checker(_Cases(law), corpus, guards))
     return LawReport(law, statement, cases, time.perf_counter() - t0)
 
 

@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .core import (_CHUNK_CELLS, DEFAULT_GUARDS, Guards, RingError,
-                   RingTable)
+                   RingTable, _guard_skip)
 from .construct import resolve_element
 
 __all__ = [
@@ -208,52 +208,61 @@ def _rev_min(R: RingTable) -> np.ndarray:
     return m
 
 
+def _arb_rows(R: RingTable, pairs: np.ndarray):
+    """Chunks (i0, A, B, ARB) of pairs (a, b) from row i0 on, with
+    ARB[i, r] = (a*r)*b over all r."""
+    step = max(1, _CHUNK_CELLS // max(1, R.order))
+    for i0 in range(0, len(pairs), step):
+        A, B = pairs[i0:i0 + step, 0], pairs[i0:i0 + step, 1]
+        yield i0, A, B, R.mul[R.mul[A], B[:, None]]
+
+
 def _scomm_cache(R: RingTable):
     """(m, rel): m[v] = least code (a*n+b)*n+r over zero pairs and r
-    with a*r*b = v; rel = the zero pairs (a,b) with a*R*b = 0."""
+    with a*r*b = v; rel = the pairs (a,b) with a*R*b = 0."""
     c = R._cache.get("scomm")
     if c is None:
         zp = _zero_pairs(R)
         n = R.order
-        k = len(zp)
+        # a*R*b = 0 forces (a*1)*b = 0, so rel is drawn from those
+        # pairs; they are the zero pairs whenever 1 is a right identity
+        cand = np.argwhere(R.mul[R.mul[:, R.one]] == R.zero)
+        same = np.array_equal(cand, zp)
         m = np.full(n, _SENTINEL, dtype=np.int64)
-        relmask = np.zeros(k, dtype=bool)
+        relmask = np.zeros(len(cand), dtype=bool)
         rcol = np.arange(n, dtype=np.int64)
-        step = max(1, _CHUNK_CELLS // max(1, n))
-        for i0 in range(0, k, step):
-            A, B = zp[i0:i0 + step, 0], zp[i0:i0 + step, 1]
-            ARB = R.mul[R.mul[A], B[:, None]]          # (a*r)*b over all r
+        for i0, A, B, ARB in _arb_rows(R, zp):
             codes = ((A * n + B) * n)[:, None] + rcol[None, :]
             np.minimum.at(m, ARB.ravel(), codes.ravel())
-            relmask[i0:i0 + len(A)] = (ARB == R.zero).all(axis=1)
-        c = (m, zp[relmask])
+            if same:
+                relmask[i0:i0 + len(A)] = (ARB == R.zero).all(axis=1)
+        if not same:
+            for i0, A, _, ARB in _arb_rows(R, cand):
+                relmask[i0:i0 + len(A)] = (ARB == R.zero).all(axis=1)
+        c = (m, cand[relmask])
         R._cache["scomm"] = c
     return c
 
 
 def _symm_min(R: RingTable) -> np.ndarray:
-    """m[v] = least code a*n^2+b*n+c over triples with a*b*c = 0 and
-    a*c*b = v."""
+    """m[v] = least code a*n^2+b*n+c over triples with (a*b)*c = 0 and
+    (a*c)*b = v."""
     m = R._cache.get("symm_min")
     if m is None:
         n = R.order
         mul = R.mul
-        order = np.argsort(mul.ravel(), kind="stable")   # pair codes by value b*c
-        sv = np.asarray(mul.ravel())[order]
-        vals = np.arange(n)
-        starts = np.searchsorted(sv, vals)
-        ends = np.searchsorted(sv, vals, side="right")
-        lens = ends - starts
+        zp = _zero_pairs(R)
+        # the zero pairs (x, c) are sorted by x: row x starts at starts[x]
+        cnt = np.bincount(zp[:, 0], minlength=n)
+        starts = np.cumsum(cnt) - cnt
+        bcol = np.arange(n, dtype=np.int64)
         m = np.full(n, _SENTINEL, dtype=np.int64)
         nn = np.int64(n) * n
         for a in range(n):
-            if a == R.zero:
-                continue  # zero times anything vanishes on both sides
-            ys = np.flatnonzero(mul[a] == R.zero)
-            paircodes = order[_multi_slice(starts[ys], lens[ys])]
-            b = paircodes // n
-            cc = paircodes % n
-            np.minimum.at(m, mul[mul[a, cc], b], np.int64(a) * nn + paircodes)
+            ab = mul[a]                 # for each b, the c with (a*b)*c = 0
+            c = zp[_multi_slice(starts[ab], cnt[ab]), 1]
+            b = np.repeat(bcol, cnt[ab])
+            np.minimum.at(m, mul[mul[a, c], b], np.int64(a) * nn + b * n + c)
         R._cache["symm_min"] = m
     return m
 
@@ -416,7 +425,8 @@ def _chk_prime(R, e):
 
 def _chk_semiprime(R, e):
     ar = np.arange(R.order)
-    for a in np.flatnonzero(R.mul[ar, ar] == R.zero):
+    # a*R*a = 0 forces (a*1)*a = 0, which is a*a = 0 when 1 is an identity
+    for a in np.flatnonzero(R.mul[R.mul[ar, R.one], ar] == R.zero):
         a = int(a)
         if a != R.zero and _annihilates(R, a, a):
             return (a,), "%s*R*%s = 0 but %s is nonzero" % (
@@ -566,12 +576,10 @@ def check_property(R: RingTable, prop: str, e=None,
     if spec.relative:
         eidx = distinguished_idempotent(R, e)
         elabel = R.labels[eidx]
-    cap = guards.pair_cap if spec.kind == "pair" else guards.triple_cap
-    if R.order > cap:
+    skip = _guard_skip(guards, spec.kind, R.order)
+    if skip:
         return PropertyVerdict(prop, R.provenance, elabel, "skipped",
-                               reason="order %d exceeds the %s sweep guard %d"
-                                      % (R.order, spec.kind, cap),
-                               elapsed=time.perf_counter() - t0)
+                               reason=skip, elapsed=time.perf_counter() - t0)
     w, detail = spec.check(R, eidx)
     if w is None:
         return PropertyVerdict(prop, R.provenance, elabel, "holds",

@@ -8,12 +8,11 @@ import contextlib
 import hashlib
 import io
 import json
-import time
 
 import pytest
 
 from finring import (
-    ParseError, build_expr, check_property, default_corpus, idempotents,
+    ParseError, build_expr, check_property, idempotents,
     parse, run_laws, serialize,
 )
 from finring.cli import main as cli_main
@@ -30,20 +29,13 @@ def report(n, text):
 
 
 @pytest.fixture(scope="module")
-def timed_corpus():
-    t0 = time.perf_counter()
-    corpus = default_corpus()
-    return corpus, time.perf_counter() - t0
-
-
-@pytest.fixture(scope="module")
-def law_reports(timed_corpus):
-    corpus, _ = timed_corpus
+def law_reports(corpus):
     return {rep.law: rep for rep in run_laws(corpus=corpus)}
 
 
-def test_criterion_01_axiom_soundness(timed_corpus):
-    corpus, elapsed = timed_corpus
+def test_criterion_01_axiom_soundness(corpus):
+    # Corpus.elapsed times the parse, build and axiom check of every entry
+    elapsed = corpus.elapsed
     assert len(corpus.entries) >= 40
     skipped = [e for e in corpus.entries if e.note]
     for entry in corpus.entries:
@@ -67,8 +59,7 @@ def test_criterion_02_reversibility_law(law_reports):
               "0 violations" % len(instances))
 
 
-def test_criterion_03_implication_chain(timed_corpus):
-    corpus, _ = timed_corpus
+def test_criterion_03_implication_chain(corpus):
     chain = ("right_e_reduced", "e_symmetric", "right_e_reversible",
              "right_e_semicommutative")
     separations = {i: [] for i in range(3)}
@@ -129,8 +120,7 @@ def test_criterion_05_collapse_and_min_abel(law_reports):
               "matrix rings and products, 0 violations")
 
 
-def test_criterion_06_dorroh(law_reports, timed_corpus):
-    corpus, _ = timed_corpus
+def test_criterion_06_dorroh(law_reports, corpus):
     entries = [e.text for e in corpus.entries if e.text.startswith("dorroh")]
     assert sorted(entries) == [
         "dorroh(U(2,Z(2)),sub[])", "dorroh(Z(2),sub[])", "dorroh(Z(4),sub[])"]
@@ -145,8 +135,7 @@ def test_criterion_06_dorroh(law_reports, timed_corpus):
               "%d transfer equivalences hold" % len(transfer))
 
 
-def test_criterion_07_h_ring(law_reports, timed_corpus):
-    corpus, _ = timed_corpus
+def test_criterion_07_h_ring(law_reports, corpus):
     hs = [e.text for e in corpus.entries if e.text.startswith("H(")]
     patterns = {tuple(t.split(",")[-2:]) for t in hs}
     assert len(patterns) == 4

@@ -79,6 +79,18 @@ def test_parse_error_exits_two_with_position():
     assert "1:3" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("algebra(0,1,[[[1]]])", "modulus 0 is not prime"),
+    ("algebra(2,-1,[[[1]]])", "dimension must be >= 1"),
+])
+def test_malformed_algebra_exits_two(text, message):
+    # the modulus and dimension are checked before any constant is read
+    code, out, err = run(["check", text, "reversible"])
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_unknown_property_exits_two(monkeypatch):
     _forbid(monkeypatch, "build_expr", "verify_axioms")
     code, out, err = run(["check", "Z(6)", "frobnitz"])

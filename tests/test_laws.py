@@ -1,5 +1,6 @@
 """The law suite over the shipped manifest: nothing may come out violated."""
 
+import hashlib
 import json
 
 import pytest
@@ -160,6 +161,16 @@ def test_quotient_lift_skip_reports_the_base_order():
     (case,) = run_law("quotient_lift", corpus, Guards(pair_cap=16)).cases
     assert case.status == "skipped"
     assert case.reason == "order 30 exceeds the pair sweep guard 16"
+
+
+def test_laws_under_small_guards_are_pinned(corpus):
+    # at these guards 9 of the 11 corpus laws reach a guard-skip branch,
+    # which at the default guards only M(2,Z(9)) reaches
+    laws = [law for law in LAW_ORDER if law != "examples"]
+    reports = run_laws(corpus, Guards(pair_cap=16, triple_cap=8), laws)
+    text = json.dumps([rep.to_dict() for rep in reports], indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "9072d81f505fcc90d3b605d71d8262b9c6b47e1b49e7304ca882650d73959142")
 
 
 def test_load_corpus_from_file(tmp_path):

@@ -291,25 +291,22 @@ SWEEP_RINGS = SMALL_RINGS + ("U(2,Z(3))", "H(Z(3),1,1)",
 
 
 def naive_sweep_minima(R):
-    """(rev, scomm, rel, symm) by plain loops, bracketed as the engine
+    """(rev, scomm, rel, symm) by plain loops, bracketed as the replay
     multiplies so that broken tables compare too."""
     n, z, mul = R.order, R.zero, R.mul.tolist()
     rev, scomm, symm = ([int(predicates._SENTINEL)] * n for _ in range(3))
     rel = []
     for a, b in itertools.product(range(n), repeat=2):
+        if all(mul[mul[a][r]][b] == z for r in range(n)):
+            rel.append((a, b))
         if mul[a][b] != z:
             continue
         rev[mul[b][a]] = min(rev[mul[b][a]], a * n + b)
-        vanish = True
         for r in range(n):
             v = mul[mul[a][r]][b]
             scomm[v] = min(scomm[v], (a * n + b) * n + r)
-            vanish = vanish and v == z
-        if vanish:
-            rel.append((a, b))
     for a, b, c in itertools.product(range(n), repeat=3):
-        # the engine skips a = 0, whose triples only reach v = 0
-        if a != z and mul[a][mul[b][c]] == z:
+        if mul[mul[a][b]][c] == z:
             v = mul[mul[a][c]][b]
             symm[v] = min(symm[v], (a * n + b) * n + c)
     return rev, scomm, rel, symm
@@ -377,3 +374,42 @@ def test_reduced_witness_is_the_least_replaying_one_on_broken_tables(rings, text
         replaying = [(x,) for x in range(S.order)
                      if replay_witness(S, prop, e, (x,))]
         assert v.witness == (replaying[0] if replaying else None), (prop, e)
+
+
+def test_reflexive_on_a_table_whose_one_is_not_an_identity(rings):
+    # 1*0 = 3 and 1*1 = 0: 1 is no identity, so a*R*b = 0 does not force
+    # a*b = 0, and the pairs with a*R*b = 0 cannot be read off the zero
+    # pairs alone
+    S = broken_ring(rings["Z(4)"], [(1, 0, 3), (1, 1, 0)])
+    v = check_property(S, "reflexive")
+    replaying = [w for w in itertools.product(range(S.order), repeat=3)
+                 if replay_witness(S, "reflexive", None, w)]
+    assert v.witness == replaying[0] == (0, 3, 3)
+    assert v.detail == "0*R*3 = 0 but 3*3*0 = 3"
+
+
+# the test below scans every triple of each table, so orders stay <= 8
+SMALL_BROKEN = [text for text in SMALL_RINGS if build_expr(text).order <= 8]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SMALL_BROKEN), st.data())
+def test_every_witness_is_the_least_replaying_one_on_broken_tables(rings, text,
+                                                                   data):
+    # tables that build_ring accepts but that need not be rings: no
+    # property may raise, and each witness is the first tuple in
+    # lexicographic order that replays, or None when none does
+    R = rings[text]
+    cells = data.draw(st.lists(st.tuples(*[st.integers(0, R.order - 1)] * 3),
+                               min_size=1, max_size=3))
+    S = broken_ring(R, cells)
+    for prop in ALL_PROPS:
+        arity = SHAPES[prop][1]
+        es = ([int(e) for e in idempotents(S) if e != S.zero]
+              if prop in E_PROPS else [None])
+        for e in es:
+            v = check_property(S, prop, e)
+            first = next((w for w in itertools.product(range(S.order),
+                                                       repeat=arity)
+                          if replay_witness(S, prop, e, w)), None)
+            assert v.witness == first, (prop, e, cells)
