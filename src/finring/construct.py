@@ -2,9 +2,17 @@
 
 Every constructor returns a RingTable whose labels are canonical
 element literals: each parses back through dsl.parse_element and
-resolves to its own index via the ring's layout.  Table builds are
-vectorized and chunked so peak memory stays bounded on orders in the
-thousands.
+resolves to its own index via the ring's layout.
+
+A coordinate ring (_coord_ring) gets its componentwise tables by
+broadcasting each base table over its own coordinates.  From order
+_FILL_MIN_ORDER on, its product is filled from the single-coordinate
+rows (x_k at coordinate k, zero elsewhere): the formula runs on those
+rows only, and every other row is their sum, row(x) = sum_k
+row(x_k e_k), by right distributivity.  So a product formula must be
+additive in its left argument whenever its input rings are rings; the
+differential test in tests/test_construct.py holds every fill to the
+formula.
 """
 from __future__ import annotations
 
@@ -14,7 +22,8 @@ from typing import List, Sequence
 import numpy as np
 
 from .core import (_CHUNK_CELLS, DEFAULT_GUARDS, Guards, RingError,
-                   RingTable, SizeGuardError, build_ring, table_dtype)
+                   RingTable, SizeGuardError, _proven_on_generators,
+                   build_ring, table_dtype)
 from .dsl import parse, parse_element
 from .expr import (CONSTRUCTORS, BracketList, CosetLit, IntLit, RawIndex,
                    RingExpr, TupleLit, serialize, serialize_elem)
@@ -63,22 +72,66 @@ class _CoordSpace:
         return sum(int(c) * st for c, st in zip(coords, self.strides))
 
 
-def _build_table(space: _CoordSpace, coord_fn, dtype) -> np.ndarray:
-    """Fill an order x order table chunk by chunk.
+def _build_table(space: _CoordSpace, coord_fn, dtype,
+                 rows: np.ndarray = None) -> np.ndarray:
+    """Evaluate a formula on the given rows (all by default) of an
+    order x order table, chunk by chunk.
 
     coord_fn(rc, cc) gets broadcastable row coords (m,1) and column
     coords (1,order) and returns the output coordinate arrays.
     """
     n = space.order
-    out = np.empty((n, n), dtype=dtype)
-    cols = np.arange(n, dtype=np.int64)
-    cc = [c[None, :] for c in space.decompose(cols)]
+    if rows is None:
+        rows = np.arange(n, dtype=np.int64)
+    out = np.empty((len(rows), n), dtype=dtype)
+    cc = [c[None, :] for c in space.decompose(np.arange(n, dtype=np.int64))]
     step = max(1, _CHUNK_CELLS // n)
-    for r0 in range(0, n, step):
-        rows = np.arange(r0, min(n, r0 + step), dtype=np.int64)
-        rc = [c[:, None] for c in space.decompose(rows)]
-        out[r0:r0 + len(rows)] = space.compose(coord_fn(rc, cc))
+    for r0 in range(0, len(rows), step):
+        rc = [c[:, None] for c in space.decompose(rows[r0:r0 + step])]
+        out[r0:r0 + step] = space.compose(coord_fn(rc, cc))
     return out
+
+
+def _broadcast(tables, dtype) -> np.ndarray:
+    """Componentwise table: tables[k] acts on coordinate k.  Each base
+    table is broadcast over its own pair of mixed-radix axes, one
+    coordinate at a time, in dtype."""
+    out = np.zeros((1, 1), dtype=dtype)
+    for t in tables:
+        s = len(t)
+        out = (out[:, None, :, None] * s
+               + t.astype(dtype)[None, :, None, :]).reshape(len(out) * s, -1)
+    return out
+
+
+def _fill_rows(space: _CoordSpace, mulfn, add: np.ndarray,
+               zero: int) -> np.ndarray:
+    """Product table of the formula mulfn, evaluated only on the
+    single-coordinate rows, sum(space.sizes) of them.
+
+    Row x is the sum over k of the row of x_k e_k (x_k at coordinate k,
+    zero elsewhere): right distributivity.  The rows are summed one
+    coordinate at a time, one gather in add per coordinate, so the
+    whole table costs about n^2 gathered cells in add's dtype.
+    """
+    sizes = space.sizes
+    rows = _build_table(space, mulfn, add.dtype, np.concatenate(
+        [zero + (np.arange(s) - z) * st for s, z, st in
+         zip(sizes, space.decompose_scalar(zero), space.strides)]))
+    out, r0 = rows[:sizes[0]], sizes[0]
+    for s in sizes[1:]:
+        out = add[out[:, None], rows[None, r0:r0 + s]].reshape(-1, space.order)
+        r0 += s
+    return out
+
+
+def _biadditive(R: RingTable) -> bool:
+    """True when (R,+) is an abelian group and R's product distributes
+    over + on both sides, so every sum of products of R's elements is
+    additive in each of them.  The proof is memoized in R._cache."""
+    return (np.array_equal(R.add, R.add.T)
+            and {"add_associative", "left_distributive",
+                 "right_distributive"} <= _proven_on_generators(R))
 
 
 def _mat_positions(kind: str, n: int):
@@ -338,25 +391,38 @@ class AlgebraLayout:
 # constructors
 
 
-def _coord_ring(space: _CoordSpace, layout, addfn, mulfn, zero, one,
-                prov: str, guards: Guards) -> RingTable:
+# below this order, proving the input rings costs more than a fill saves
+# over the formula on every cell (measured: the fill wins from order 81
+# on, loses by 50-100 us per build up to 64)
+_FILL_MIN_ORDER = 65
+
+
+def _coord_ring(space: _CoordSpace, layout, add, mul, zero, one,
+                prov: str, guards: Guards, inputs=()) -> RingTable:
     """Ring on the mixed-radix coordinates of space.
 
-    addfn and mulfn map row and column coordinates to output coordinates
-    (see _build_table); zero and one are coordinate lists.
+    add and mul are each either a list of base tables, one per
+    coordinate, applied componentwise (built by _broadcast), or a
+    formula mapping row and column coordinates to output coordinates
+    (see _build_table); zero and one are coordinate lists.  A formula
+    mul of order at least _FILL_MIN_ORDER is filled from its
+    single-coordinate rows (_fill_rows) when every ring in inputs, the
+    rings the formula reads, is _biadditive; otherwise it is evaluated
+    on every cell.
     """
     _guard_build(space.order, guards, prov)
     labels = tuple(layout.render(i) for i in range(space.order))
     dt = table_dtype(space.order)
-    return build_ring(_build_table(space, addfn, dt),
-                      _build_table(space, mulfn, dt),
-                      space.compose_scalar(zero), space.compose_scalar(one),
-                      labels, prov, layout)
-
-
-def _componentwise(ops):
-    """Coordinate function applying one base table per coordinate."""
-    return lambda rc, cc: [t[r, c] for t, r, c in zip(ops, rc, cc)]
+    zero = space.compose_scalar(zero)
+    add = _build_table(space, add, dt) if callable(add) else _broadcast(add, dt)
+    if not callable(mul):
+        mul = _broadcast(mul, dt)
+    elif space.order >= _FILL_MIN_ORDER and all(map(_biadditive, inputs)):
+        mul = _fill_rows(space, mul, add, zero)
+    else:
+        mul = _build_table(space, mul, dt)
+    return build_ring(add, mul, zero, space.compose_scalar(one), labels, prov,
+                      layout)
 
 
 def zmod(n: int, guards: Guards = DEFAULT_GUARDS,
@@ -399,11 +465,11 @@ def matrix_ring(kind: str, n: int, base: RingTable,
             outs.append(acc)
         return outs
 
-    return _coord_ring(layout.space, layout, _componentwise([badd] * len(free)),
-                       mulfn, [base.zero] * len(free),
+    return _coord_ring(layout.space, layout, [badd] * len(free), mulfn,
+                       [base.zero] * len(free),
                        [base.one if i == j else base.zero for (i, j) in free],
                        provenance or "%s(%d,%s)" % (kind, n, base.provenance),
-                       guards)
+                       guards, [base])
 
 
 def _require_central(base: RingTable, x: int, what: str):
@@ -434,9 +500,9 @@ def h_ring(base: RingTable, s, t, guards: Guards = DEFAULT_GUARDS,
                 badd[bmul[c, x], bmul[d, y]],
                 badd[bmul[d, u], bmul[f, v]]]
 
-    return _coord_ring(space, HLayout(base, s, t, space),
-                       _componentwise([badd] * 3), mulfn, [base.zero] * 3,
-                       [base.one, base.zero, base.zero], prov, guards)
+    return _coord_ring(space, HLayout(base, s, t, space), [badd] * 3, mulfn,
+                       [base.zero] * 3, [base.one, base.zero, base.zero],
+                       prov, guards, [base])
 
 
 def k_ring(base: RingTable, s, guards: Guards = DEFAULT_GUARDS,
@@ -456,20 +522,19 @@ def k_ring(base: RingTable, s, guards: Guards = DEFAULT_GUARDS,
                 badd[bmul[y1, a2], bmul[b1, y2]],
                 badd[bmul[s, bmul[y1, x2]], bmul[b1, b2]]]
 
-    return _coord_ring(space, TupleLayout([base] * 4, space),
-                       _componentwise([badd] * 4), mulfn, [base.zero] * 4,
+    return _coord_ring(space, TupleLayout([base] * 4, space), [badd] * 4,
+                       mulfn, [base.zero] * 4,
                        [base.one, base.zero, base.zero, base.one],
                        provenance or "K(%s,%s)" % (base.provenance,
                                                    base.labels[s]),
-                       guards)
+                       guards, [base])
 
 
 def _tuple_ring(comps: Sequence[RingTable], guards: Guards,
                 prov: str) -> RingTable:
     space = _CoordSpace([c.order for c in comps])
     return _coord_ring(space, TupleLayout(comps, space),
-                       _componentwise([c.add for c in comps]),
-                       _componentwise([c.mul for c in comps]),
+                       [c.add for c in comps], [c.mul for c in comps],
                        [c.zero for c in comps], [c.one for c in comps],
                        prov, guards)
 
@@ -552,10 +617,9 @@ def dorroh(base: RingTable, gens, guards: Guards = DEFAULT_GUARDS,
         first = badd[badd[bmul[a, c], bmul[a, d]], bmul[b, c]]
         return [first, posmap[bmul[b, d]]]
 
-    return _coord_ring(space, TupleLayout([base, S], space),
-                       _componentwise([badd, S.add]), mulfn,
-                       [base.zero, S.zero], [base.zero, S.one],
-                       prov, guards)
+    return _coord_ring(space, TupleLayout([base, S], space), [badd, S.add],
+                       mulfn, [base.zero, S.zero], [base.zero, S.one],
+                       prov, guards, [base])
 
 
 def _validate_hom(base: RingTable, images: np.ndarray):
@@ -594,9 +658,9 @@ def twisted_u2(base: RingTable, images, guards: Guards = DEFAULT_GUARDS,
                 badd[bmul[a, y], bmul[b, images[z]]],
                 bmul[c, z]]
 
-    ring = _coord_ring(layout.space, layout, _componentwise([badd] * 3),
-                       mulfn, [base.zero] * 3, [base.one, base.zero, base.one],
-                       prov, guards)
+    ring = _coord_ring(layout.space, layout, [badd] * 3, mulfn,
+                       [base.zero] * 3, [base.one, base.zero, base.one],
+                       prov, guards, [base])
     ring._cache["images"] = images
     return ring
 
@@ -707,27 +771,21 @@ def algebra_from_structure_constants(p: int, d: int, consts,
     right = np.einsum("jkm,iml->ijkl", C, C) % p
     if not np.array_equal(left, right):
         raise RingError("structure constants are not associative")
-    space = _CoordSpace([p] * d)
-    n = space.order
     if provenance is None:
         rows = ["[%s]" % ",".join("[%s]" % ",".join(str(v) for v in C[i, j])
                                   for j in range(d)) for i in range(d)]
         provenance = "algebra(%d,%d,[%s])" % (p, d, ",".join(rows))
-    _guard_build(n, guards, provenance)
-    layout = AlgebraLayout(p, d, space)
-    labels = tuple(layout.render(i) for i in range(n))
-    add = _build_table(space, lambda rc, cc:
-                       [(r + c) % p for r, c in zip(rc, cc)], table_dtype(n))
-    X = np.stack(space.decompose(np.arange(n, dtype=np.int64)), axis=1)
-    mul = np.empty((n, n), dtype=table_dtype(n))
-    step = max(1, _CHUNK_CELLS // (n * d))
-    strides = np.asarray(space.strides, dtype=np.int64)
-    for r0 in range(0, n, step):
-        xb = X[r0:min(n, r0 + step)]
-        coords = np.einsum("xi,yj,ijm->xym", xb, X, C) % p
-        mul[r0:r0 + xb.shape[0]] = coords @ strides
-    return build_ring(add, mul, 0, space.compose_scalar(eye[0]), labels,
-                      provenance, layout)
+    space = _CoordSpace([p] * d)
+    ar = np.arange(p, dtype=table_dtype(2 * p))    # p + p fits
+
+    def mulfn(rc, cc):
+        xc = np.tensordot(np.concatenate(rc, axis=1), C, axes=1)
+        return list(np.einsum("xjl,jy->lxy", xc, np.concatenate(cc)) % p)
+
+    # Z/p is a ring and the product is bilinear: no input to gate on
+    return _coord_ring(space, AlgebraLayout(p, d, space),
+                       [(ar[:, None] + ar) % p] * d, mulfn, [0] * d, eye[0],
+                       provenance, guards)
 
 
 # ---------------------------------------------------------------------------

@@ -113,10 +113,10 @@ def build_ring(add, mul, zero: int, one: int, labels: Sequence[str],
     ar = np.arange(n)
     if not (np.array_equal(add[zero], ar) and np.array_equal(add[:, zero], ar)):
         raise RingError("add not a group: stated zero is not an identity")
-    inv_hits = (add == zero).sum(axis=1)
-    if not (inv_hits == 1).all():
+    is_zero = add == zero
+    if not (is_zero.sum(axis=1) == 1).all():
         raise RingError("add not a group: some row lacks a unique inverse")
-    neg = (add == zero).argmax(axis=1)
+    neg = is_zero.argmax(axis=1)
     labels = tuple(str(s) for s in labels)
     if len(labels) != n:
         raise RingError("expected %d labels, got %d" % (n, len(labels)))
@@ -195,8 +195,9 @@ def _additive_generators(R: RingTable) -> list:
     return gens
 
 
-def _proven_on_generators(R: RingTable) -> set:
-    """Triple axioms that hold on all of R, shown in O(n^2 d) cells.
+def _proven_on_generators(R: RingTable) -> frozenset:
+    """Triple axioms that hold on all of R, shown in O(n^2 d) cells;
+    memoized in R._cache.
 
     With G from _additive_generators and d = |G|:
     - + is associative iff (x+g)+y == x+(g+y) for g in G (Light's
@@ -211,6 +212,12 @@ def _proven_on_generators(R: RingTable) -> set:
     table's dtype.  An axiom left out may still hold: the exhaustive
     scan decides it.
     """
+    if "proven" not in R._cache:
+        R._cache["proven"] = frozenset(_prove_on_generators(R))
+    return R._cache["proven"]
+
+
+def _prove_on_generators(R: RingTable) -> set:
     add, mul = R.add, R.mul
     gens = _additive_generators(R)
     proven = set()

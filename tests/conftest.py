@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from finring import build_expr, default_corpus
+from finring import build_expr, default_corpus, run_laws
 
 # everything here has order <= 16 so the naive oracle stays fast
 SMALL_RINGS = (
@@ -25,3 +25,9 @@ def rings():
 @pytest.fixture(scope="session")
 def corpus():
     return default_corpus()
+
+
+@pytest.fixture(scope="session")
+def law_reports(corpus):
+    """law -> LawReport over the default corpus, swept once per session."""
+    return {rep.law: rep for rep in run_laws(corpus=corpus)}

@@ -13,7 +13,7 @@ import pytest
 
 from finring import (
     ParseError, build_expr, check_property, idempotents,
-    parse, run_laws, serialize,
+    parse, serialize,
 )
 from finring.cli import main as cli_main
 from finring.expr import (
@@ -26,11 +26,6 @@ R16_PREFIX = "algebra(2,4,"
 
 def report(n, text):
     print("criterion %d: PASS - %s" % (n, text))
-
-
-@pytest.fixture(scope="module")
-def law_reports(corpus):
-    return {rep.law: rep for rep in run_laws(corpus=corpus)}
 
 
 def test_criterion_01_axiom_soundness(corpus):

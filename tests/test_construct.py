@@ -1,17 +1,25 @@
-"""One test cluster per construction, plus element resolution."""
+"""One test cluster per construction, plus element resolution and the
+table builds held to the constructors' formulas."""
 
+from pathlib import Path
+
+import numpy as np
 import pytest
 
+import finring
 from finring import (
-    RingError, build_expr, parse, resolve_element, verify_axioms,
+    RingError, build_expr, build_ring, parse, resolve_element, verify_axioms,
 )
+from finring import construct
 from finring.construct import (
-    corner, dorroh, direct_product, ideal_closure, is_ideal, quotient,
-    sub_ring_table, subring, trs, twisted_u2, zmod,
+    _CoordSpace, _build_table, corner, dorroh, direct_product, h_ring,
+    ideal_closure, is_ideal, matrix_ring, quotient, sub_ring_table, subring,
+    trs, twisted_u2, zmod,
 )
 from finring.iso import find_isomorphism, is_isomorphic, ring_generators
 
 from oracle import mul, naive_center
+from test_dsl import SAMPLES
 
 
 def test_zmod_basics():
@@ -272,3 +280,112 @@ def test_ring_generators_span(rings):
     gens = ring_generators(M)
     assert len(subring(M, gens)) == M.order
     assert naive_center(M) == [M.zero, M.one]
+
+
+# ---------------------------------------------------------------------------
+# table builds: every broadcast and every fill against the formula
+
+CORPUS_TEXTS = [line.strip() for line in
+                (Path(finring.__file__).parent / "corpus.txt").read_text()
+                .splitlines() if line.strip() and not line.startswith("#")]
+
+
+@pytest.fixture
+def fill_all(monkeypatch):
+    """Fill every gated formula product, whatever its order."""
+    monkeypatch.setattr(construct, "_FILL_MIN_ORDER", 0)
+
+
+@pytest.fixture
+def checked_builds(monkeypatch, fill_all):
+    """Hold every _broadcast and _fill_rows made while live to
+    _build_table's formula: every row up to order 1024, 64 seeded rows
+    above.  Returns the (kind, order) of each build checked."""
+    rng = np.random.default_rng(8)
+    seen = []
+    broadcast, fill = construct._broadcast, construct._fill_rows
+
+    def rows(n):
+        if n <= 1024:
+            return np.arange(n)
+        return np.sort(rng.choice(n, 64, replace=False))
+
+    def check(kind, out, space, formula, dtype):
+        r = rows(space.order)
+        assert out.shape == (space.order, space.order) and out.dtype == dtype
+        assert np.array_equal(out[r], _build_table(space, formula, dtype, r))
+        seen.append((kind, space.order))
+
+    def checked_broadcast(tables, dtype):
+        out = broadcast(tables, dtype)
+        check("broadcast", out, _CoordSpace([len(t) for t in tables]),
+              lambda rc, cc: [t[a, b] for t, a, b in zip(tables, rc, cc)],
+              dtype)
+        return out
+
+    def checked_fill(space, mulfn, add, zero):
+        out = fill(space, mulfn, add, zero)
+        check("fill", out, space, mulfn, add.dtype)
+        return out
+
+    monkeypatch.setattr(construct, "_broadcast", checked_broadcast)
+    monkeypatch.setattr(construct, "_fill_rows", checked_fill)
+    return seen
+
+
+@pytest.mark.parametrize("text", sorted(
+    set(CORPUS_TEXTS) | set(SAMPLES.values()) | {"M(2,Z(8))", "U(3,Z(4))"}))
+def test_built_tables_equal_the_formula_tables(text, checked_builds):
+    R = build_expr(text)
+    name = parse(text).name
+    if name not in ("quot", "corner"):
+        kind = "broadcast" if name in ("prod", "trs") else "fill"
+        assert (kind, R.order) in checked_builds
+        assert ("broadcast", R.order) in checked_builds or name == "Z"
+
+
+def test_fill_on_a_base_whose_zero_is_not_index_0(checked_builds):
+    # Z(3) relabelled so that its zero is index 2 and its one index 0
+    Z3 = zmod(3)
+    to = np.array([2, 0, 1])
+    back = np.argsort(to)
+    B = build_ring(to[Z3.add[np.ix_(back, back)]],
+                   to[Z3.mul[np.ix_(back, back)]], 2, 0,
+                   [Z3.labels[i] for i in back], "relabelled")
+    for R in (matrix_ring("U", 2, B), h_ring(B, 0, 0), dorroh(B, [])):
+        assert R.zero != 0 and ("fill", R.order) in checked_builds
+        assert verify_axioms(R).passed
+
+
+def _broken_z3():
+    # 2*2 = 0: (1+1)*2 = 0 but 1*2 + 1*2 = 1, so not distributive
+    Z3 = zmod(3)
+    bad = Z3.mul.copy()
+    bad[2, 2] = 0
+    return build_ring(Z3.add, bad, Z3.zero, Z3.one, Z3.labels, "broken")
+
+
+@pytest.mark.parametrize("make", [
+    lambda B: matrix_ring("M", 2, B), lambda B: h_ring(B, 1, 1),
+], ids=["M", "H"])
+def test_a_broken_base_keeps_the_formula_table(make, monkeypatch, fill_all):
+    B = _broken_z3()
+    assert not construct._biadditive(B)
+    built = make(B)
+    # the reference: the formula on every cell
+    monkeypatch.setattr(construct, "_fill_rows", lambda space, mulfn, add,
+                        zero: _build_table(space, mulfn, add.dtype))
+    formula = make(B)
+    assert np.array_equal(built.add, formula.add)
+    assert np.array_equal(built.mul, formula.mul)
+    assert built.mul.dtype == formula.mul.dtype
+    assert built.labels == formula.labels
+
+
+def test_the_gate_matters_on_a_broken_base(monkeypatch, fill_all):
+    # filled anyway, H over the broken base gets a table the formula
+    # does not give, so only the gate keeps it on the formula path
+    B = _broken_z3()
+    built = h_ring(B, 1, 1)
+    monkeypatch.setattr(construct, "_biadditive", lambda R: True)
+    assert not np.array_equal(h_ring(B, 1, 1).mul, built.mul)

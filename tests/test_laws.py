@@ -39,11 +39,6 @@ EXPECTED_TOTALS = {
 }
 
 
-@pytest.fixture(scope="module")
-def reports(corpus):
-    return {rep.law: rep for rep in run_laws(corpus=corpus)}
-
-
 def test_default_corpus_builds_whole(corpus):
     assert len(corpus.entries) == 46
     noted = [e for e in corpus.entries if e.note]
@@ -55,20 +50,20 @@ def test_default_corpus_builds_whole(corpus):
             assert entry.verified is True
 
 
-def test_every_law_runs_in_order(reports, corpus):
-    assert tuple(reports) == LAW_ORDER
+def test_every_law_runs_in_order(law_reports, corpus):
+    assert tuple(law_reports) == LAW_ORDER
     assert len(LAW_ORDER) == 12
 
 
 @pytest.mark.parametrize("law", LAW_ORDER)
-def test_no_law_is_violated(reports, law):
-    totals = reports[law].totals
+def test_no_law_is_violated(law_reports, law):
+    totals = law_reports[law].totals
     assert totals["violated"] == 0
     assert totals == EXPECTED_TOTALS[law]
 
 
-def test_every_case_is_replayable_or_annotated(reports):
-    for rep in reports.values():
+def test_every_case_is_replayable_or_annotated(law_reports):
+    for rep in law_reports.values():
         assert rep.statement
         for case in rep.cases:
             assert case.status in ("holds", "violated", "not-applicable",
@@ -77,8 +72,8 @@ def test_every_case_is_replayable_or_annotated(reports):
                 assert case.reason or case.detail
 
 
-def test_h_ring_reports_catalogue_coverage(reports):
-    cover = [c for c in reports["h_ring"].cases
+def test_h_ring_reports_catalogue_coverage(law_reports):
+    cover = [c for c in law_reports["h_ring"].cases
              if c.detail and "cover" in c.detail]
     assert len(cover) == 5
     partial = [c for c in cover if "covers 8 of 8" not in c.detail]
@@ -88,29 +83,29 @@ def test_h_ring_reports_catalogue_coverage(reports):
                            for c in cover)
 
 
-def test_twisted_law_keeps_the_rejected_fixture(reports):
-    skipped = [c for c in reports["twisted_u2"].cases
+def test_twisted_law_keeps_the_rejected_fixture(law_reports):
+    skipped = [c for c in law_reports["twisted_u2"].cases
                if c.status == "skipped"]
     assert len(skipped) == 1
     assert "construction rejected" in skipped[0].reason
 
 
-def test_annihilator_law_marks_improper_ideal(reports):
-    cases = reports["annihilator_quotient"].cases
+def test_annihilator_law_marks_improper_ideal(law_reports):
+    cases = law_reports["annihilator_quotient"].cases
     assert any(c.status == "skipped" and "improper" in (c.reason or "")
                for c in cases)
 
 
-def test_quotient_lift_marks_unreduced_ideals(reports):
-    nas = [c for c in reports["quotient_lift"].cases
+def test_quotient_lift_marks_unreduced_ideals(law_reports):
+    nas = [c for c in law_reports["quotient_lift"].cases
            if c.status == "not-applicable"]
     assert any("square" in (c.reason or "") for c in nas)
 
 
-def test_complement_law_skips_semiprime_direction(reports):
+def test_complement_law_skips_semiprime_direction(law_reports):
     # the z/12 style rings are reversible without being semiprime, so
     # the law asserts only the provable directions and must still hold
-    cases = reports["e_and_complement"].cases
+    cases = law_reports["e_and_complement"].cases
     z12 = [c for c in cases if c.ring == "Z(12)"]
     assert z12 and all(c.status in ("holds", "not-applicable")
                        for c in z12)
