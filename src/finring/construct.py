@@ -16,6 +16,8 @@ formula.
 """
 from __future__ import annotations
 
+import itertools
+import operator
 from functools import partial
 from typing import List, Sequence
 
@@ -134,31 +136,6 @@ def _biadditive(R: RingTable) -> bool:
                  "right_distributive"} <= _proven_on_generators(R))
 
 
-def _mat_positions(kind: str, n: int):
-    """Free entry positions of an n x n matrix of kind, and the map
-    (i,j) -> index of the free coordinate held there, None for zero."""
-    if kind == "M":
-        free = [(i, j) for i in range(n) for j in range(n)]
-    elif kind == "U":
-        free = [(i, j) for i in range(n) for j in range(i, n)]
-    elif kind == "D":
-        free = [(0, 0)] + [(i, j) for i in range(n) for j in range(i + 1, n)]
-    elif kind == "V":
-        free = [(0, j) for j in range(n)]
-    else:
-        raise RingError("unknown matrix kind %r" % kind)
-
-    def coord(i, j):
-        if kind == "D" and i == j:
-            return 0
-        if kind == "V":
-            return j - i if j >= i else None
-        return free.index((i, j)) if (i, j) in free else None
-
-    entry = {(i, j): coord(i, j) for i in range(n) for j in range(n)}
-    return free, entry
-
-
 # ---------------------------------------------------------------------------
 # layouts: label rendering and literal resolution
 
@@ -202,38 +179,131 @@ def _encode_node(R: RingTable, node) -> int:
     raise RingError("cannot resolve %r in a ring without a layout" % text)
 
 
-class ZmodLayout:
-    def __init__(self, n: int):
-        self.n = n
+class CoordCodec:
+    """Element literals of a coordinate ring, declared once as a shape.
 
-    def encode(self, node) -> int:
-        if isinstance(node, IntLit):
-            return node.value % self.n
-        raise RingError("expected an integer literal for Z(%d)" % self.n)
+    The shape is a literal with its entries left open: nested lists
+    (bracket literals) and tuples (tuple literals) whose leaves are a
+    coordinate index k, None for an entry that is always zero, or a
+    function of the coordinates for a derived entry.  comps[k] is the
+    ring coordinate k ranges over, or a modulus n for the integers mod
+    n.  Zeros and derived entries lie in base = comps[0]; family names
+    the literal in error messages.  The one shape gives the labels of
+    every element (labels) and the parsing of every literal (encode).
+    """
 
-    def render(self, i: int) -> str:
-        return str(i)
-
-
-class TupleLayout:
-    """Componentwise tuples over a list of component rings."""
-
-    def __init__(self, comps: Sequence[RingTable], space: _CoordSpace):
+    def __init__(self, shape, comps, family: str = None):
+        self.shape = shape
         self.comps = list(comps)
-        self.space = space
+        self.base = self.comps[0]
+        self.family = family
+        self.space = _CoordSpace([c.order if isinstance(c, RingTable) else c
+                                  for c in self.comps])
+        self.derived = []
+        self.paths = {}          # coordinate -> path of its first entry
+        self._fmt = self._compile(shape, ())
+
+    def _compile(self, shape, path) -> str:
+        """The str.format template of a shape: argument k is coordinate
+        k's label, arguments after the coordinates the derived labels."""
+        if isinstance(shape, (list, tuple)):
+            inner = ",".join(self._compile(s, path + (p,))
+                             for p, s in enumerate(shape))
+            return ("[%s]" if isinstance(shape, list) else "(%s)") % inner
+        if shape is None:
+            zero = self.base.labels[self.base.zero]
+            return zero.replace("{", "{{").replace("}", "}}")
+        if callable(shape):
+            self.derived.append(shape)
+            return "{%d}" % (len(self.comps) + len(self.derived) - 1)
+        self.paths.setdefault(shape, path)
+        return "{%d}" % shape
+
+    def labels(self) -> tuple:
+        """Every element's label, in index order."""
+        args = itertools.product(*[
+            c.labels if isinstance(c, RingTable) else map(str, range(c))
+            for c in self.comps])
+        if self.derived:
+            coords = self.space.decompose(np.arange(self.space.order))
+            names = self.base.labels
+            args = map(operator.add, args, zip(*[
+                [names[x] for x in fn(*coords).tolist()]
+                for fn in self.derived]))
+        return tuple(itertools.starmap(self._fmt.format, args))
 
     def encode(self, node) -> int:
-        if not isinstance(node, TupleLit):
-            raise RingError("expected a %d-tuple literal" % len(self.comps))
-        if len(node.items) != len(self.comps):
-            raise RingError("expected %d components, got %d"
-                            % (len(self.comps), len(node.items)))
-        coords = [_encode_node(c, item) for c, item in zip(self.comps, node.items)]
+        coords = [None] * len(self.comps)
+        derived = []
+        self._resolve(self.shape, node, (), coords, derived)
+        if any(fn(*coords) != x for fn, x in derived):
+            raise RingError("entries violate the diagonal relations of %s"
+                            % self.family)
         return self.space.compose_scalar(coords)
 
-    def render(self, i: int) -> str:
-        coords = self.space.decompose_scalar(i)
-        return "(%s)" % ",".join(c.labels[k] for c, k in zip(self.comps, coords))
+    def _resolve(self, shape, node, path, coords, derived):
+        """Walk node along shape, filling coords; path is node's 1-based
+        position, derived entries are collected as (function, entry) for
+        encode to check."""
+        if isinstance(shape, (list, tuple)):
+            kind = BracketList if isinstance(shape, list) else TupleLit
+            if not (isinstance(node, kind) and len(node.items) == len(shape)):
+                raise RingError(self._misshapen(node))
+            for p, (s, item) in enumerate(zip(shape, node.items), 1):
+                self._resolve(s, item, path + (p,), coords, derived)
+            return
+        comp = self.comps[shape] if isinstance(shape, int) else self.base
+        if isinstance(comp, RingTable):
+            x = _encode_node(comp, node)
+        elif isinstance(node, IntLit):
+            x = node.value % comp
+        else:
+            raise RingError("expected an integer literal for Z(%d)" % comp)
+        if shape is None:
+            if x != self.base.zero:
+                raise RingError("entry (%s) must be zero in %s"
+                                % (",".join(map(str, path)), self.family))
+        elif callable(shape):
+            derived.append((shape, x))
+        elif coords[shape] is None:
+            coords[shape] = x
+        elif coords[shape] != x:
+            raise RingError("tied entries disagree at (%s) in %s"
+                            % (",".join(map(str, path)), self.family))
+
+    def _misshapen(self, node) -> str:
+        """Why node is not a literal of this codec's shape."""
+        shape = self.shape
+        if isinstance(shape, tuple):
+            if isinstance(node, TupleLit):
+                return "expected %d components, got %d" % (len(shape),
+                                                           len(node.items))
+            return "expected a %d-tuple literal" % len(shape)
+        if isinstance(shape[0], list):
+            return "expected a %dx%d matrix literal" % (len(shape),
+                                                       len(shape[0]))
+        return "expected a coefficient vector of length %d" % len(shape)
+
+
+def _matrix_codec(kind: str, n: int, base: RingTable) -> CoordCodec:
+    """The n x n literals over base of a matrix kind (see matrix_ring),
+    coordinates numbered in row-major order of their first entry."""
+    if kind not in ("M", "U", "D", "V"):
+        raise RingError("unknown matrix kind %r" % kind)
+    free = itertools.count()
+    grid = []
+    for i in range(n):
+        grid.append([])
+        for j in range(n):
+            if j < i and kind != "M":
+                grid[i].append(None)
+            elif i > 0 and kind == "V":
+                grid[i].append(grid[0][j - i])
+            elif i == j > 0 and kind == "D":
+                grid[i].append(0)
+            else:
+                grid[i].append(next(free))
+    return CoordCodec(grid, [base] * next(free), "kind %s" % kind)
 
 
 class RestrictedLayout:
@@ -258,100 +328,6 @@ class RestrictedLayout:
         return self.base.labels[int(self.members[i])]
 
 
-class MatrixLayout:
-    """n x n matrices over base shaped by kind (see matrix_ring)."""
-
-    def __init__(self, base: RingTable, kind: str, n: int):
-        self.base = base
-        self.kind = kind
-        self.n = n
-        self.free_positions, self.entry_map = _mat_positions(kind, n)
-        self.space = _CoordSpace([base.order] * len(self.free_positions))
-
-    def _grid_labels(self, coords) -> str:
-        z = self.base.labels[self.base.zero]
-        rows = []
-        for i in range(self.n):
-            cells = []
-            for j in range(self.n):
-                k = self.entry_map[(i, j)]
-                cells.append(z if k is None else self.base.labels[coords[k]])
-            rows.append("[%s]" % ",".join(cells))
-        return "[%s]" % ",".join(rows)
-
-    def render(self, i: int) -> str:
-        return self._grid_labels(self.space.decompose_scalar(i))
-
-    def _grid_of(self, node):
-        if not (isinstance(node, BracketList) and len(node.items) == self.n):
-            raise RingError("expected a %dx%d matrix literal" % (self.n, self.n))
-        grid = []
-        for row in node.items:
-            if not (isinstance(row, BracketList) and len(row.items) == self.n):
-                raise RingError("expected a %dx%d matrix literal" % (self.n, self.n))
-            grid.append([_encode_node(self.base, cell) for cell in row.items])
-        return grid
-
-    def encode(self, node) -> int:
-        grid = self._grid_of(node)
-        z = self.base.zero
-        coords = [None] * len(self.free_positions)
-        for i in range(self.n):
-            for j in range(self.n):
-                k = self.entry_map[(i, j)]
-                if k is None:
-                    if grid[i][j] != z:
-                        raise RingError("entry (%d,%d) must be zero in kind %s"
-                                        % (i + 1, j + 1, self.kind))
-                elif coords[k] is None:
-                    coords[k] = grid[i][j]
-                elif coords[k] != grid[i][j]:
-                    raise RingError("tied entries disagree at (%d,%d) in kind %s"
-                                    % (i + 1, j + 1, self.kind))
-        return self.space.compose_scalar(coords)
-
-
-class HLayout:
-    """3x3 family [[a,0,0],[c,d,f],[0,0,g]], d = a-s*c, g = d-t*f."""
-
-    def __init__(self, base: RingTable, s: int, t: int, space: _CoordSpace):
-        self.base = base
-        self.s = s
-        self.t = t
-        self.space = space
-
-    def _derived(self, a, c, f):
-        B = self.base
-        d = int(B.add[a, B.neg[B.mul[self.s, c]]])
-        g = int(B.add[d, B.neg[B.mul[self.t, f]]])
-        return d, g
-
-    def render(self, i: int) -> str:
-        a, c, f = self.space.decompose_scalar(i)
-        d, g = self._derived(a, c, f)
-        L = self.base.labels
-        z = L[self.base.zero]
-        return "[[%s,%s,%s],[%s,%s,%s],[%s,%s,%s]]" % (
-            L[a], z, z, L[c], L[d], L[f], z, z, L[g])
-
-    def encode(self, node) -> int:
-        if not (isinstance(node, BracketList) and len(node.items) == 3
-                and all(isinstance(r, BracketList) and len(r.items) == 3
-                        for r in node.items)):
-            raise RingError("expected a 3x3 matrix literal")
-        g_ = [[_encode_node(self.base, c) for c in row.items] for row in node.items]
-        z = self.base.zero
-        for (i, j) in ((0, 1), (0, 2), (2, 0), (2, 1)):
-            if g_[i][j] != z:
-                raise RingError("entry (%d,%d) must be zero in this family"
-                                % (i + 1, j + 1))
-        a, c, f = g_[0][0], g_[1][0], g_[1][2]
-        d, g = self._derived(a, c, f)
-        if g_[1][1] != d or g_[2][2] != g:
-            raise RingError("entries violate the diagonal relations of this family")
-        return self.space.compose_scalar((a, c, f))
-
-
 class QuotientLayout:
     def __init__(self, base: RingTable, reps: np.ndarray, proj: np.ndarray):
         self.base = base
@@ -367,26 +343,6 @@ class QuotientLayout:
         return self.base.labels[int(self.reps[i])] + "+I"
 
 
-class AlgebraLayout:
-    def __init__(self, p: int, d: int, space: _CoordSpace):
-        self.p = p
-        self.d = d
-        self.space = space
-
-    def encode(self, node) -> int:
-        if not (isinstance(node, BracketList) and len(node.items) == self.d):
-            raise RingError("expected a coefficient vector of length %d" % self.d)
-        coords = []
-        for item in node.items:
-            if not isinstance(item, IntLit):
-                raise RingError("coefficient vectors hold integers mod %d" % self.p)
-            coords.append(item.value % self.p)
-        return self.space.compose_scalar(coords)
-
-    def render(self, i: int) -> str:
-        return "[%s]" % ",".join(str(c) for c in self.space.decompose_scalar(i))
-
-
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -397,9 +353,10 @@ class AlgebraLayout:
 _FILL_MIN_ORDER = 65
 
 
-def _coord_ring(space: _CoordSpace, layout, add, mul, zero, one,
-                prov: str, guards: Guards, inputs=()) -> RingTable:
-    """Ring on the mixed-radix coordinates of space.
+def _coord_ring(codec: CoordCodec, add, mul, zero, one, prov: str,
+                guards: Guards, inputs=()) -> RingTable:
+    """Ring on the mixed-radix coordinates of codec.space, labelled by
+    codec.
 
     add and mul are each either a list of base tables, one per
     coordinate, applied componentwise (built by _broadcast), or a
@@ -410,8 +367,9 @@ def _coord_ring(space: _CoordSpace, layout, add, mul, zero, one,
     rings the formula reads, is _biadditive; otherwise it is evaluated
     on every cell.
     """
+    space = codec.space
     _guard_build(space.order, guards, prov)
-    labels = tuple(layout.render(i) for i in range(space.order))
+    labels = codec.labels()
     dt = table_dtype(space.order)
     zero = space.compose_scalar(zero)
     add = _build_table(space, add, dt) if callable(add) else _broadcast(add, dt)
@@ -422,7 +380,7 @@ def _coord_ring(space: _CoordSpace, layout, add, mul, zero, one,
     else:
         mul = _build_table(space, mul, dt)
     return build_ring(add, mul, zero, space.compose_scalar(one), labels, prov,
-                      layout)
+                      codec)
 
 
 def zmod(n: int, guards: Guards = DEFAULT_GUARDS,
@@ -430,7 +388,7 @@ def zmod(n: int, guards: Guards = DEFAULT_GUARDS,
     """Integers mod n."""
     if n < 2:
         raise RingError("Z(n) needs n >= 2")
-    return _coord_ring(_CoordSpace([n]), ZmodLayout(n),
+    return _coord_ring(CoordCodec(0, [n]),
                        lambda rc, cc: [(rc[0] + cc[0]) % n],
                        lambda rc, cc: [(rc[0] * cc[0]) % n],
                        [0], [1], provenance or "Z(%d)" % n, guards)
@@ -447,8 +405,9 @@ def matrix_ring(kind: str, n: int, base: RingTable,
     """
     if n < 1:
         raise RingError("matrix size must be >= 1")
-    layout = MatrixLayout(base, kind, n)
-    free, entry = layout.free_positions, layout.entry_map
+    codec = _matrix_codec(kind, n, base)
+    grid = codec.shape
+    free = [codec.paths[k] for k in range(len(codec.comps))]
     badd, bmul = base.add, base.mul
 
     def mulfn(rc, cc):
@@ -456,8 +415,8 @@ def matrix_ring(kind: str, n: int, base: RingTable,
         for (i, j) in free:
             acc = None
             for k in range(n):
-                a = entry[(i, k)]
-                b = entry[(k, j)]
+                a = grid[i][k]
+                b = grid[k][j]
                 if a is None or b is None:
                     continue
                 term = bmul[rc[a], cc[b]]
@@ -465,7 +424,7 @@ def matrix_ring(kind: str, n: int, base: RingTable,
             outs.append(acc)
         return outs
 
-    return _coord_ring(layout.space, layout, [badd] * len(free), mulfn,
+    return _coord_ring(codec, [badd] * len(free), mulfn,
                        [base.zero] * len(free),
                        [base.one if i == j else base.zero for (i, j) in free],
                        provenance or "%s(%d,%s)" % (kind, n, base.provenance),
@@ -485,24 +444,30 @@ def h_ring(base: RingTable, s, t, guards: Guards = DEFAULT_GUARDS,
     t = resolve_element(base, t)
     _require_central(base, s, "first parameter")
     _require_central(base, t, "second parameter")
-    space = _CoordSpace([base.order] * 3)
     prov = provenance or "H(%s,%s,%s)" % (base.provenance, base.labels[s],
                                           base.labels[t])
     badd, bmul, bneg = base.add, base.mul, base.neg
 
+    def d(a, c, f):
+        return badd[a, bneg[bmul[s, c]]]
+
+    def g(a, c, f):
+        return badd[d(a, c, f), bneg[bmul[t, f]]]
+
     def mulfn(rc, cc):
         a, c, f = rc
         x, y, u = cc
-        d = badd[a, bneg[bmul[s, c]]]
-        z = badd[x, bneg[bmul[s, y]]]
-        v = badd[z, bneg[bmul[t, u]]]
+        dr = d(*rc)
         return [bmul[a, x],
-                badd[bmul[c, x], bmul[d, y]],
-                badd[bmul[d, u], bmul[f, v]]]
+                badd[bmul[c, x], bmul[dr, y]],
+                badd[bmul[dr, u], bmul[f, g(*cc)]]]
 
-    return _coord_ring(space, HLayout(base, s, t, space), [badd] * 3, mulfn,
-                       [base.zero] * 3, [base.one, base.zero, base.zero],
-                       prov, guards, [base])
+    codec = CoordCodec([[0, None, None], [1, d, 2], [None, None, g]],
+                       [base] * 3, "this family")
+    ring = _coord_ring(codec, [badd] * 3, mulfn, [base.zero] * 3,
+                       [base.one, base.zero, base.zero], prov, guards, [base])
+    ring._cache["params"] = (s, t)
+    return ring
 
 
 def k_ring(base: RingTable, s, guards: Guards = DEFAULT_GUARDS,
@@ -511,7 +476,6 @@ def k_ring(base: RingTable, s, guards: Guards = DEFAULT_GUARDS,
     pairing is scaled by a central parameter s."""
     s = resolve_element(base, s)
     _require_central(base, s, "pairing parameter")
-    space = _CoordSpace([base.order] * 4)
     badd, bmul = base.add, base.mul
 
     def mulfn(rc, cc):
@@ -522,7 +486,7 @@ def k_ring(base: RingTable, s, guards: Guards = DEFAULT_GUARDS,
                 badd[bmul[y1, a2], bmul[b1, y2]],
                 badd[bmul[s, bmul[y1, x2]], bmul[b1, b2]]]
 
-    return _coord_ring(space, TupleLayout([base] * 4, space), [badd] * 4,
+    return _coord_ring(CoordCodec((0, 1, 2, 3), [base] * 4), [badd] * 4,
                        mulfn, [base.zero] * 4,
                        [base.one, base.zero, base.zero, base.one],
                        provenance or "K(%s,%s)" % (base.provenance,
@@ -532,8 +496,7 @@ def k_ring(base: RingTable, s, guards: Guards = DEFAULT_GUARDS,
 
 def _tuple_ring(comps: Sequence[RingTable], guards: Guards,
                 prov: str) -> RingTable:
-    space = _CoordSpace([c.order for c in comps])
-    return _coord_ring(space, TupleLayout(comps, space),
+    return _coord_ring(CoordCodec(tuple(range(len(comps))), comps),
                        [c.add for c in comps], [c.mul for c in comps],
                        [c.zero for c in comps], [c.one for c in comps],
                        prov, guards)
@@ -606,7 +569,6 @@ def dorroh(base: RingTable, gens, guards: Guards = DEFAULT_GUARDS,
     prov = provenance or "dorroh(%s,sub[%s])" % (
         base.provenance, ",".join(base.labels[resolve_element(base, g)]
                                   for g in gens))
-    space = _CoordSpace([base.order, S.order])
     badd, bmul = base.add, base.mul
 
     def mulfn(rc, cc):
@@ -617,7 +579,7 @@ def dorroh(base: RingTable, gens, guards: Guards = DEFAULT_GUARDS,
         first = badd[badd[bmul[a, c], bmul[a, d]], bmul[b, c]]
         return [first, posmap[bmul[b, d]]]
 
-    return _coord_ring(space, TupleLayout([base, S], space), [badd, S.add],
+    return _coord_ring(CoordCodec((0, 1), [base, S]), [badd, S.add],
                        mulfn, [base.zero, S.zero], [base.zero, S.one],
                        prov, guards, [base])
 
@@ -648,7 +610,6 @@ def twisted_u2(base: RingTable, images, guards: Guards = DEFAULT_GUARDS,
     _validate_hom(base, images)
     prov = provenance or "twist(%s,hom[%s])" % (
         base.provenance, ",".join("#%d" % i for i in images))
-    layout = MatrixLayout(base, "U", 2)
     badd, bmul = base.add, base.mul
 
     def mulfn(rc, cc):
@@ -658,7 +619,7 @@ def twisted_u2(base: RingTable, images, guards: Guards = DEFAULT_GUARDS,
                 badd[bmul[a, y], bmul[b, images[z]]],
                 bmul[c, z]]
 
-    ring = _coord_ring(layout.space, layout, [badd] * 3, mulfn,
+    ring = _coord_ring(_matrix_codec("U", 2, base), [badd] * 3, mulfn,
                        [base.zero] * 3, [base.one, base.zero, base.one],
                        prov, guards, [base])
     ring._cache["images"] = images
@@ -719,7 +680,6 @@ def quotient(R: RingTable, gens, guards: Guards = DEFAULT_GUARDS,
     ring = build_ring(proj[R.add[np.ix_(reps, reps)]].astype(dt),
                       proj[R.mul[np.ix_(reps, reps)]].astype(dt),
                       int(proj[R.zero]), int(proj[R.one]), labels, prov, layout)
-    ring._cache["projection"] = proj
     ring._cache["ideal"] = I
     return ring, proj
 
@@ -740,9 +700,7 @@ def corner(R: RingTable, e, guards: Guards = DEFAULT_GUARDS,
     members = np.unique(exe)
     prov = provenance or "corner(%s,%s)" % (R.provenance, R.labels[e])
     _guard_build(len(members), guards, prov)
-    ring = _restricted_ring(R, members, e, prov, "corner")
-    ring._cache["embedding"] = members
-    return ring, members
+    return _restricted_ring(R, members, e, prov, "corner"), members
 
 
 def _check_modulus_and_dimension(p: int, d: int):
@@ -775,7 +733,6 @@ def algebra_from_structure_constants(p: int, d: int, consts,
         rows = ["[%s]" % ",".join("[%s]" % ",".join(str(v) for v in C[i, j])
                                   for j in range(d)) for i in range(d)]
         provenance = "algebra(%d,%d,[%s])" % (p, d, ",".join(rows))
-    space = _CoordSpace([p] * d)
     ar = np.arange(p, dtype=table_dtype(2 * p))    # p + p fits
 
     def mulfn(rc, cc):
@@ -783,7 +740,7 @@ def algebra_from_structure_constants(p: int, d: int, consts,
         return list(np.einsum("xjl,jy->lxy", xc, np.concatenate(cc)) % p)
 
     # Z/p is a ring and the product is bilinear: no input to gate on
-    return _coord_ring(space, AlgebraLayout(p, d, space),
+    return _coord_ring(CoordCodec(list(range(d)), [p] * d),
                        [(ar[:, None] + ar) % p] * d, mulfn, [0] * d, eye[0],
                        provenance, guards)
 

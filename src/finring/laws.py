@@ -372,7 +372,7 @@ def _law_quotient_lift(case, corpus, guards):
     for Q in _entries(corpus, "quot"):
         base = Q.layout.base
         I = Q._cache["ideal"]
-        proj = Q._cache["projection"]
+        proj = Q.layout.proj
         sq = [int(x) for x in I
               if int(x) != base.zero
               and int(base.mul[x, x]) == base.zero]
@@ -520,9 +520,14 @@ def _h_families(base, e, s, t, sinv, tinv):
 
 def _law_h_ring(case, corpus, guards):
     for H in _entries(corpus, "H"):
-        base, s, t = H.layout.base, H.layout.s, H.layout.t
+        base = H.layout.base
+        s, t = H._cache["params"]
         sinv = unit_inverse(base, s)
         tinv = unit_inverse(base, t)
+        if sinv is None or tinv is None:
+            yield case(H.provenance, None, "not-applicable",
+                       reason="the catalogued families need unit parameters")
+            continue
         if H.order > guards.pair_cap:
             yield case.skip(H, guards)
             continue
@@ -642,7 +647,11 @@ _SCENE_REPLAYS = (
 )
 
 
-def _scene(case, scene, ring, idem, ok, detail, **fields):
+def _scene(case, scene, ring, idem, ok, detail, verdict=None, **fields):
+    """A scene's case, holding exactly when ok; skipped when verdict, the
+    engine verdict the scene rests on, was skipped by a guard."""
+    if verdict is not None and verdict.status == "skipped":
+        return case(ring, idem, "skipped", reason=verdict.reason)
     return case.verdict(ring, idem, ok, "pinned expectation not reproduced",
                         detail="scene %s: %s" % (scene, detail), **fields)
 
@@ -659,7 +668,7 @@ def _scenes_simple(case, guards):
                   else "%s expected %s, engine says %s" % (prop, want,
                                                            v.status))
         yield _scene(case, scene, R.provenance, idem, v.status == want,
-                     detail, witness=v.witness,
+                     detail, v, witness=v.witness,
                      witness_labels=v.witness_labels)
     for scene, rtext, prop, idem, wit in _SCENE_REPLAYS:
         if rtext not in built:
@@ -718,7 +727,7 @@ def _scene_f_nested(case, guards):
              and replay_witness(D, "right_e_reversible", E, (A, B)))
     yield _scene(case, "f", D.provenance, D.labels[E], facts,
                  "sweep fails with witness %s; the pinned witness pair "
-                 "replays too" % (list(v.witness_labels or ()),),
+                 "replays too" % (list(v.witness_labels or ()),), v,
                  witness=(A, B), witness_labels=(D.labels[A], D.labels[B]))
 
 
@@ -730,9 +739,8 @@ def _scene_g_constant_diag(case, guards):
     A = int(space.compose_scalar([0, 0, 0, 1]))
     B = int(space.compose_scalar([0, 1, 0, 1]))
     BA = int(D.mul[B, A])
-    wit = (int(D.mul[A, B]) == D.zero and BA != D.zero
-           and check_property(D, "right_e_reversible", D.one,
-                              guards).status == "fails")
+    v = check_property(D, "right_e_reversible", D.one, guards)
+    wit = int(D.mul[A, B]) == D.zero and BA != D.zero and v.status == "fails"
     # in the ambient full matrix ring, right-multiplying by the (2,2)
     # matrix unit keeps the diagonal and the top-middle entry; both must
     # vanish whenever the product the other way is zero
@@ -749,7 +757,7 @@ def _scene_g_constant_diag(case, guards):
                  % [D.labels[i] for i in ids])
     yield _scene(case, "g", D.provenance, D.labels[D.one], wit,
                  "AB = 0 with BA nonzero kills right reversibility at the "
-                 "identity",
+                 "identity", v,
                  witness=(A, B), witness_labels=(D.labels[A], D.labels[B]))
     yield _scene(case, "g", D.provenance, None, bad == 0,
                  "ambient check: whenever AB = 0, BA has zero diagonal and "
@@ -769,7 +777,7 @@ def _scene_j_anti_delta(case, guards):
         yield _scene(case, "j", K.provenance, K.labels[e], ok,
                      "expected fails with a replayable witness; engine says "
                      "%s, witness %s"
-                     % (v.status, list(v.witness_labels or ())),
+                     % (v.status, list(v.witness_labels or ())), v,
                      witness=v.witness, witness_labels=v.witness_labels)
 
 
@@ -780,7 +788,7 @@ def _scene_k_nested_product(case, guards):
     ok = int(T.mul[E, E]) == E and v.status == "fails"
     yield _scene(case, "k", T.provenance, T.labels[E], ok,
                  "expected fails; engine says %s with witness %s"
-                 % (v.status, list(v.witness_labels or ())),
+                 % (v.status, list(v.witness_labels or ())), v,
                  witness=v.witness, witness_labels=v.witness_labels)
 
 

@@ -1,6 +1,7 @@
 """One test cluster per construction, plus element resolution and the
 table builds held to the constructors' formulas."""
 
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -153,7 +154,7 @@ def test_quotient_of_z12():
     assert resolve_element(Q, "5+I") == 1
     assert is_isomorphic(Q, zmod(4))
     assert sorted(int(i) for i in Q._cache["ideal"]) == [0, 4, 8]
-    assert Q._cache["projection"].tolist() == [0, 1, 2, 3] * 3
+    assert Q.layout.proj.tolist() == [0, 1, 2, 3] * 3
 
 
 def test_quotient_rejects_improper_ideal():
@@ -238,23 +239,102 @@ def test_algebra_rejects_bad_input():
             "[[0,1,0],[0,0,1],[0,0,0]],[[0,0,1],[1,0,0],[0,0,0]]])")
 
 
-def test_resolve_element_forms(rings):
+def _labelled_rings(corpus):
+    """text -> ring for every corpus line and every constructor sample."""
+    rings = {ent.text: ent.ring for ent in corpus.rings()}
+    for text in SAMPLES.values():
+        rings.setdefault(text, build_expr(text))
+    return sorted(rings.items())
+
+
+# sha256 over each ring's text and labels: every printed witness and
+# idempotent is one of these literals, so any drift shows here
+LABEL_DIGEST = ("df9e23726c0cddabcb016355339e28d0"
+                "b15bf470b9bf6458b814d5ed86a8ae40")
+
+
+def test_labels_are_pinned(corpus):
+    h = hashlib.sha256()
+    for text, R in _labelled_rings(corpus):
+        h.update(("%s\n%s\n" % (text, "\n".join(R.labels))).encode())
+    assert h.hexdigest() == LABEL_DIGEST
+
+
+def test_every_label_resolves_to_its_element(corpus):
+    # every element up to order 1024, 64 seeded ones above
+    rng = np.random.default_rng(9)
+    for text, R in _labelled_rings(corpus):
+        idx = (range(R.order) if R.order <= 1024
+               else rng.choice(R.order, 64, replace=False).tolist())
+        for i in idx:
+            assert resolve_element(R, R.labels[i]) == i, (text, i)
+
+
+def test_resolve_element_forms():
     M = build_expr("M(2,Z(2))")
     i = resolve_element(M, "[[1,1],[0,1]]")
     assert resolve_element(M, M.labels[i]) == i
     assert resolve_element(M, "#%d" % i) == i
     assert resolve_element(M, i) == i
-    with pytest.raises(RingError):
-        resolve_element(M, "#99")
-    with pytest.raises(RingError, match="2x2"):
-        resolve_element(M, "[[1,0],[0,1],[0,0]]")
-    with pytest.raises(RingError, match="disagree"):
-        resolve_element(rings["V(3,Z(2))"], "[[1,1,0],[0,1,0],[0,0,1]]")
-    T = rings["twist(Z(2),hom[#0,#1])"]
-    with pytest.raises(RingError, match=r"\(2,1\) must be zero in kind U"):
-        resolve_element(T, "[[1,0],[1,1]]")
-    with pytest.raises(RingError, match="2x2"):
-        resolve_element(T, "[[1,0,0],[0,1,0],[0,0,1]]")
+
+
+_ALG = "algebra(2,2,[[[1,0],[0,1]],[[0,1],[0,0]]])"
+
+
+@pytest.mark.parametrize("text,literal,fragment", [
+    # literal shape
+    ("M(2,Z(2))", "[[1,0],[0,1],[0,0]]", "expected a 2x2 matrix literal"),
+    ("M(2,Z(2))", "[[1,0],[0]]", "expected a 2x2 matrix literal"),
+    ("M(2,Z(2))", "(1,0)", "expected a 2x2 matrix literal"),
+    ("twist(Z(2),hom[#0,#1])", "[[1,0,0],[0,1,0],[0,0,1]]",
+     "expected a 2x2 matrix literal"),
+    ("H(Z(3),2,1)", "[[1,0,0],[1,2,1]]", "expected a 3x3 matrix literal"),
+    # structural zeros
+    ("U(2,Z(3))", "[[1,0],[2,1]]", "entry (2,1) must be zero in kind U"),
+    ("twist(Z(2),hom[#0,#1])", "[[1,0],[1,1]]",
+     "entry (2,1) must be zero in kind U"),
+    ("V(3,Z(2))", "[[1,0,0],[0,1,0],[1,0,1]]",
+     "entry (3,1) must be zero in kind V"),
+    ("H(Z(3),2,1)", "[[1,1,0],[1,2,1],[0,0,1]]",
+     "entry (1,2) must be zero in this family"),
+    ("H(Z(3),2,1)", "[[1,0,0],[1,2,1],[0,2,1]]",
+     "entry (3,2) must be zero in this family"),
+    # tied entries
+    ("D(3,Z(2))", "[[1,0,0],[0,0,0],[0,0,1]]",
+     "tied entries disagree at (2,2) in kind D"),
+    ("V(3,Z(2))", "[[1,1,0],[0,1,0],[0,0,1]]",
+     "tied entries disagree at (2,3) in kind V"),
+    # derived entries
+    ("H(Z(3),2,1)", "[[1,0,0],[1,1,1],[0,0,1]]",
+     "entries violate the diagonal relations of this family"),
+    ("H(Z(3),2,1)", "[[1,0,0],[1,2,1],[0,0,2]]",
+     "entries violate the diagonal relations of this family"),
+    # tuples
+    ("prod(Z(2),Z(3))", "(1,2,0)", "expected 2 components, got 3"),
+    ("prod(Z(2),Z(3))", "[1,2]", "expected a 2-tuple literal"),
+    ("K(Z(2),0)", "(1,0,0)", "expected 4 components, got 3"),
+    ("dorroh(Z(4),sub[2])", "(1,(0,1))", "expected an integer literal for Z(4)"),
+    # coefficient vectors and residues
+    (_ALG, "[1,0,1]", "expected a coefficient vector of length 2"),
+    (_ALG, "(1,0)", "expected a coefficient vector of length 2"),
+    (_ALG, "[1,#0]", "integer"),
+    ("Z(4)", "(1,2)", "expected an integer literal for Z(4)"),
+    ("Z(4)", "[1]", "expected an integer literal for Z(4)"),
+    # entries resolved in a base ring
+    ("M(2,U(2,Z(2)))", "[[1,0],[0,[[1,0],[1,1]]]]",
+     "entry (2,1) must be zero in kind U"),
+    ("corner(M(2,Z(2)),[[1,0],[0,0]])", "[[0,1],[0,0]]",
+     "element [[0,1],[0,0]] of M(2,Z(2)) lies outside the corner"),
+    # raw indices
+    ("M(2,Z(2))", "#99", "raw index #99 out of range for order 16"),
+    ("M(2,Z(2))", 99, "raw index 99 out of range for order 16"),
+    ("M(2,Z(2))", -1, "raw index -1 out of range for order 16"),
+])
+def test_malformed_literals_are_refused(text, literal, fragment):
+    R = build_expr(text)
+    with pytest.raises(RingError) as info:
+        resolve_element(R, literal)
+    assert fragment in str(info.value)
 
 
 def test_build_expr_accepts_parsed_nodes():

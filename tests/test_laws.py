@@ -184,3 +184,25 @@ def test_replicate_examples_standalone():
     assert rep.law == "examples"
     assert rep.totals["violated"] == 0
     assert rep.totals["holds"] == EXPECTED_TOTALS["examples"]["holds"]
+
+
+def test_examples_under_small_guards_skip_rather_than_fail():
+    # a guard skip is never a wrong answer: scenes whose engine verdict
+    # was skipped come out skipped, with the guard's reason
+    rep = run_law("examples", Corpus("unused", []),
+                  Guards(pair_cap=16, triple_cap=8))
+    assert rep.totals["violated"] == 0
+    assert rep.totals["skipped"] > 0
+    assert all("guard" in c.reason for c in rep.cases
+               if c.status == "skipped")
+
+
+def test_h_ring_law_needs_unit_parameters():
+    # central non-units build a ring, but the catalogued idempotent
+    # families are written with the inverses of s and t
+    corpus = corpus_from_text("H(Z(4),2,1)\nH(Z(4),1,2)\n")
+    rep = run_law("h_ring", corpus)
+    assert [(c.ring, c.status, c.reason) for c in rep.cases] == [
+        (text, "not-applicable", "the catalogued families need unit "
+                                 "parameters")
+        for text in ("H(Z(4),2,1)", "H(Z(4),1,2)")]
