@@ -16,8 +16,8 @@ from .core import verify_axioms
 from .construct import build_expr
 from .dsl import ParseError, parse
 from .expr import serialize
-from .laws import (LAW_ORDER, default_corpus, load_corpus, run_laws,
-                   select_laws)
+from .laws import (LAW_ORDER, default_corpus, load_corpus, reads_corpus,
+                   run_laws, select_laws)
 from .predicates import (E_PROPS, GLOBAL_PROPS, center, check_property,
                          distinguished_idempotent, idempotents,
                          is_left_semicentral, is_right_semicentral,
@@ -154,17 +154,22 @@ def cmd_survey(args) -> int:
 def cmd_laws(args) -> int:
     guards = _guards(args)
     laws = select_laws(args.law or None)     # before the corpus is built
+    # the manifest is parsed even when no selected law reads it, so a
+    # malformed one is still refused
+    build = reads_corpus(laws)
     if args.corpus:
-        corpus = load_corpus(args.corpus, guards)
+        corpus = load_corpus(args.corpus, guards, build)
     else:
-        corpus = default_corpus(guards)
+        corpus = default_corpus(guards, build)
     reports = run_laws(corpus, guards, laws)
     violated = sum(r.totals["violated"] for r in reports)
     results = [r.to_dict() for r in reports]
     if args.format == "json":
         _emit(args, _payload(args, None, results))
         return 1 if violated else 0
-    print("corpus: %s (%d entries)" % (corpus.source, len(corpus.entries)))
+    print("corpus: %s (%d entries%s)"
+          % (corpus.source, len(corpus.entries),
+             "" if build else ", not built: no selected law reads it"))
     for ent in corpus.entries:
         if ent.note:
             print("  note: %s: %s" % (ent.text, ent.note))

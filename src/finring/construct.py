@@ -24,8 +24,8 @@ from typing import List, Sequence
 import numpy as np
 
 from .core import (_CHUNK_CELLS, DEFAULT_GUARDS, Guards, RingError,
-                   RingTable, SizeGuardError, _proven_on_generators,
-                   build_ring, table_dtype)
+                   RingTable, SizeGuardError, _biadditive, build_ring,
+                   table_dtype)
 from .dsl import parse, parse_element
 from .expr import (CONSTRUCTORS, BracketList, CosetLit, IntLit, RawIndex,
                    RingExpr, TupleLit, serialize, serialize_elem)
@@ -125,15 +125,6 @@ def _fill_rows(space: _CoordSpace, mulfn, add: np.ndarray,
         out = add[out[:, None], rows[None, r0:r0 + s]].reshape(-1, space.order)
         r0 += s
     return out
-
-
-def _biadditive(R: RingTable) -> bool:
-    """True when (R,+) is an abelian group and R's product distributes
-    over + on both sides, so every sum of products of R's elements is
-    additive in each of them.  The proof is memoized in R._cache."""
-    return (np.array_equal(R.add, R.add.T)
-            and {"add_associative", "left_distributive",
-                 "right_distributive"} <= _proven_on_generators(R))
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,10 @@ class Guards:
 
     pair_cap bounds order for order^2-cost sweeps, triple_cap for
     order^3-cost sweeps, build_cap bounds the order of any table a
-    constructor is willing to materialize.
+    constructor is willing to materialize.  On a ring whose axioms are
+    proven on generators the triple properties cost O(n^2 d) cells, d
+    the size of an additive generating set, but triple_cap still
+    applies to them.
     """
     pair_cap: int = 4096
     triple_cap: int = 1024
@@ -169,7 +172,8 @@ def _triple_scans(R: RingTable):
 
 
 def _additive_generators(R: RingTable) -> list:
-    """Greedy generating set G of (R,+) as a magma.
+    """Greedy generating set G of (R,+) as a magma; memoized in
+    R._cache.
 
     The least unreached index joins G until every index is reached; an
     index counts as reached only once it is a sum of reached indices,
@@ -177,6 +181,12 @@ def _additive_generators(R: RingTable) -> list:
     associative.  Each round sums all pairs of reached indices, at most
     n^2 cells.
     """
+    if "gens" not in R._cache:
+        R._cache["gens"] = _greedy_generators(R)
+    return R._cache["gens"]
+
+
+def _greedy_generators(R: RingTable) -> list:
     add = R.add
     reached = np.zeros(R.order, dtype=bool)
     reached[R.zero] = True
@@ -235,6 +245,19 @@ def _prove_on_generators(R: RingTable) -> set:
         if np.array_equal(mul[gg[:, :, None], G], mul[G[:, None, None], gg]):
             proven.add("mul_associative")
     return proven
+
+
+def _biadditive(R: RingTable) -> bool:
+    """True when (R,+) is an abelian group and R's product distributes
+    over + on both sides, so every sum of products of R's elements is
+    additive in each of them.  Associativity of the product is not
+    needed.  Memoized in R._cache."""
+    if "biadditive" not in R._cache:
+        R._cache["biadditive"] = bool(
+            np.array_equal(R.add, R.add.T)
+            and {"add_associative", "left_distributive",
+                 "right_distributive"} <= _proven_on_generators(R))
+    return R._cache["biadditive"]
 
 
 def _exhaustive_report(R: RingTable, proven=frozenset()) -> AxiomReport:

@@ -110,13 +110,15 @@ class Corpus:
 
 
 def corpus_from_text(text: str, source: str = "<corpus>",
-                     guards: Guards = DEFAULT_GUARDS) -> Corpus:
+                     guards: Guards = DEFAULT_GUARDS,
+                     build: bool = True) -> Corpus:
     """Parse, build and axiom-check a corpus manifest.
 
     Lines are construction expressions; blank lines and '#' comments are
     ignored.  Every entry must build and, when small enough for the
     triple guard, pass the axiom check; oversized entries carry a note
-    instead.
+    instead.  With build false every line is parsed and none is built,
+    so the entries carry no ring.
     """
     t0 = time.perf_counter()
     entries = []
@@ -132,6 +134,9 @@ def corpus_from_text(text: str, source: str = "<corpus>",
             msg = str(err).split(": ", 1)[-1]
             raise ParseError("in %s line %d: %s" % (source, lineno, msg),
                              lineno, err.col)
+        if not build:
+            entries.append(CorpusEntry(line, node, None, None))
+            continue
         try:
             ring = build_expr(node, guards)
         except RingError as err:
@@ -148,17 +153,19 @@ def corpus_from_text(text: str, source: str = "<corpus>",
     return Corpus(source, entries, time.perf_counter() - t0)
 
 
-def load_corpus(path: str, guards: Guards = DEFAULT_GUARDS) -> Corpus:
+def load_corpus(path: str, guards: Guards = DEFAULT_GUARDS,
+                build: bool = True) -> Corpus:
     """Read a corpus manifest from a file."""
     with open(path) as fh:
         text = fh.read()
-    return corpus_from_text(text, path, guards)
+    return corpus_from_text(text, path, guards, build)
 
 
-def default_corpus(guards: Guards = DEFAULT_GUARDS) -> Corpus:
+def default_corpus(guards: Guards = DEFAULT_GUARDS,
+                   build: bool = True) -> Corpus:
     """The corpus bundled with the package."""
     text = resources.files("finring").joinpath("corpus.txt").read_text()
-    return corpus_from_text(text, "builtin", guards)
+    return corpus_from_text(text, "builtin", guards, build)
 
 
 def _nz_idem(R):
@@ -856,6 +863,14 @@ _LAWS = {
 }
 
 LAW_ORDER = tuple(_LAWS)
+
+# laws that build their own fixture rings and never read the corpus
+_FIXTURE_LAWS = ("annihilator_quotient", "examples")
+
+
+def reads_corpus(laws) -> bool:
+    """Whether any of the named laws reads the corpus."""
+    return any(law not in _FIXTURE_LAWS for law in laws)
 
 
 def run_law(law: str, corpus: Corpus,

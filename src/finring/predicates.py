@@ -5,6 +5,27 @@ Verdicts carry the lexicographically least violating tuple so failures
 replay deterministically.  Sweeps over all pairs or triples are cached
 per ring as per-value minima: one pass prices every idempotent at once,
 and per-e verdicts afterwards cost O(order).
+
+The triple families are decided on additive generators.  On a ring
+that passes core._biadditive ((R,+) abelian, + associative and both
+distributive laws proven on generators; the product need not be
+associative) both sides of each conclusion are additive in the
+quantified variable, and s(v) = v, v*e or e*v is additive in v:
+
+- symmetric, (a*b)*c = 0 implies s((a*c)*b) = 0: for a fixed pair
+  (a, b), c ranges over r.ann(a*b), an additive subgroup, and c ->
+  s((a*c)*b) is additive, so some c refutes exactly when some
+  generator of r.ann(a*b) does;
+- semicommutative, a*b = 0 implies s((a*r)*b) = 0: r ranges over R,
+  so the additive generators G of R decide it, and a*R*b = 0 exactly
+  when (a*g)*b = 0 for every g in G (the pairs reflexive,
+  right_idempotent_reflexive and prime read).
+
+So per value the pair minima cost O(n^2 d) cells, d the size of a
+generating set, and the least refuting pair is the least pair minimum
+over bad values; one O(n) scan then finds its least c or r.  Every
+other table, including the broken ones tests feed in, takes the cubic
+sweeps _symm_min and _scomm_cache.
 """
 from __future__ import annotations
 
@@ -15,7 +36,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .core import (_CHUNK_CELLS, DEFAULT_GUARDS, Guards, RingError,
-                   RingTable, _guard_skip)
+                   RingTable, _additive_generators, _biadditive, _guard_skip)
 from .construct import resolve_element
 
 __all__ = [
@@ -267,6 +288,95 @@ def _symm_min(R: RingTable) -> np.ndarray:
     return m
 
 
+def _subgroup_generators(R: RingTable, members: np.ndarray) -> list:
+    """Greedy generating set of the additive subgroup whose members are
+    marked: the least member not yet reached joins, and the reached
+    subgroup H grows to H + <g> one coset H + k*g at a time."""
+    reached = np.zeros(R.order, dtype=bool)
+    reached[R.zero] = True
+    gens = []
+    for g in np.flatnonzero(members):
+        if reached[g]:
+            continue
+        gens.append(int(g))
+        coset = np.flatnonzero(reached)
+        while True:
+            coset = R.add[coset, g]
+            if reached[coset[0]]:       # cosets of H meet only if equal
+                break
+            reached[coset] = True
+    return gens
+
+
+def _ann_generators(R: RingTable) -> np.ndarray:
+    """Row x: a generating set of r.ann(x) = {c : x*c = 0}, padded with
+    zero to one width.  Equal annihilators share one greedy set."""
+    rows, inv = np.unique(np.packbits(R.mul == R.zero, axis=1), axis=0,
+                          return_inverse=True)
+    sets = [_subgroup_generators(R, np.unpackbits(row, count=R.order))
+            for row in rows]
+    gens = np.full((len(sets), max(map(len, sets))), R.zero,
+                   dtype=R.mul.dtype)
+    for i, g in enumerate(sets):
+        gens[i, :len(g)] = g
+    return gens[inv.reshape(-1)]
+
+
+def _symm_gen_min(R: RingTable) -> np.ndarray:
+    """m[v] = least code a*n+b over pairs (a, b) and generators g of
+    r.ann(a*b) with (a*g)*b = v."""
+    m = R._cache.get("symm_gen_min")
+    if m is None:
+        n = R.order
+        mul = R.mul
+        gens = _ann_generators(R)
+        m = np.full(n, _SENTINEL, dtype=np.int64)
+        b = np.arange(n, dtype=np.int64)
+        step = max(1, _CHUNK_CELLS // n)
+        for a0 in range(0, n, step):
+            a = np.arange(a0, min(n, a0 + step), dtype=np.int64)[:, None]
+            codes = (a * n + b).ravel()
+            for j in range(gens.shape[1]):
+                g = gens[mul[a0:a0 + step], j]
+                np.minimum.at(m, mul[mul[a, g], b].ravel(), codes)
+        R._cache["symm_gen_min"] = m
+    return m
+
+
+def _scomm_gen_min(R: RingTable) -> np.ndarray:
+    """m[v] = least code a*n+b over zero pairs (a, b) and additive
+    generators g of R with (a*g)*b = v."""
+    m = R._cache.get("scomm_gen_min")
+    if m is None:
+        zp = _zero_pairs(R)
+        n = R.order
+        A, B = zp[:, 0], zp[:, 1]
+        codes = A * n + B
+        m = np.full(n, _SENTINEL, dtype=np.int64)
+        for g in _additive_generators(R):
+            np.minimum.at(m, R.mul[R.mul[A, g], B], codes)
+        R._cache["scomm_gen_min"] = m
+    return m
+
+
+def _gen_rel(R: RingTable) -> np.ndarray:
+    """The pairs (a, b) with (a*g)*b = 0 for every additive generator g
+    of R, in lex order."""
+    rel = R._cache.get("gen_rel")
+    if rel is None:
+        # (a*1)*b = 0 is necessary, so rel is drawn from those pairs
+        rel = np.argwhere(R.mul[R.mul[:, R.one]] == R.zero)
+        for g in _additive_generators(R):
+            rel = rel[R.mul[R.mul[rel[:, 0], g], rel[:, 1]] == R.zero]
+        R._cache["gen_rel"] = rel
+    return rel
+
+
+def _rel(R: RingTable) -> np.ndarray:
+    """The pairs (a, b) with a*R*b = 0, in lex order."""
+    return _gen_rel(R) if _biadditive(R) else _scomm_cache(R)[1]
+
+
 def _nil_min(R: RingTable) -> np.ndarray:
     """m[x] = x over the nilpotents x: each is its own least witness."""
     m = np.full(R.order, _SENTINEL, dtype=np.int64)
@@ -282,11 +392,12 @@ def _least_fail(m: np.ndarray, badvals: np.ndarray) -> Optional[int]:
     return int(m[hit].min())
 
 
-def _prod(R: RingTable, *xs) -> int:
-    """Left-to-right product of element indices."""
-    acc = int(xs[0])
+def _prod(R: RingTable, *xs):
+    """Left-to-right product of element indices, elementwise over
+    arrays."""
+    acc = xs[0]
     for x in xs[1:]:
-        acc = int(R.mul[acc, x])
+        acc = R.mul[acc, x]
     return acc
 
 
@@ -309,25 +420,52 @@ class _Prop(NamedTuple):
 class _Family(NamedTuple):
     """Conditions of the shape "premise on a tuple w implies value = 0",
     the value being a product of entries of w.  The sweep cache holds,
-    for each value, the least code of a tuple meeting the premise."""
+    for each value, the least code of a tuple meeting the premise.
+
+    A triple family may also give gen_minima: per value, the least
+    code a*n+b of a pair whose generator (see the module docstring)
+    meets the premise with that value.  On a _biadditive ring these
+    price the pairs, and one scan of w[2] finishes the witness."""
     kind: str
     minima: Callable    # R -> per-value least codes
     premise: Optional[tuple]    # entries of w with product 0, or None
                                 # for "w[0] is nilpotent"
     value: tuple        # entries of w whose product is the value
+    gen_minima: Optional[Callable] = None   # R -> per-value pair codes
 
-    def premise_holds(self, R, w) -> bool:
+    def premise_holds(self, R, w):
         if self.premise is None:
             return nilpotency_index(R, w[0]) is not None
         return _prod(R, *(w[i] for i in self.premise)) == R.zero
 
-    def value_at(self, R, w) -> int:
+    def value_at(self, R, w):
         return _prod(R, *(w[i] for i in self.value))
 
+    def least(self, R, bad: np.ndarray) -> Optional[tuple]:
+        """The least tuple meeting the premise whose value v has
+        bad[v], or None."""
+        n = R.order
+        if self.gen_minima is not None and _biadditive(R):
+            code = _least_fail(self.gen_minima(R), bad)
+            if code is None:
+                return None
+            # the least refuting pair, then its least third entry
+            w = divmod(code, n) + (np.arange(n),)
+            hit = self.premise_holds(R, w) & bad[self.value_at(R, w)]
+            return w[:2] + (int(np.argmax(hit)),)
+        code = _least_fail(self.minima(R), bad)
+        if code is None:
+            return None
+        arity = max(self.value) + 1
+        return tuple(int(i) for i in np.unravel_index(code, (n,) * arity))
 
+
+# the sweeps are looked up when called, so tests can stand in for them
 _REV = _Family("pair", _rev_min, (0, 1), (1, 0))
-_SCOMM = _Family("triple", lambda R: _scomm_cache(R)[0], (0, 1), (0, 2, 1))
-_SYMM = _Family("triple", _symm_min, (0, 1, 2), (0, 2, 1))
+_SCOMM = _Family("triple", lambda R: _scomm_cache(R)[0], (0, 1), (0, 2, 1),
+                 lambda R: _scomm_gen_min(R))
+_SYMM = _Family("triple", lambda R: _symm_min(R), (0, 1, 2), (0, 2, 1),
+                lambda R: _symm_gen_min(R))
 _NIL = _Family("pair", _nil_min, None, (0,))
 
 
@@ -343,15 +481,13 @@ def _sided(R: RingTable, side: str, e) -> np.ndarray:
 def _family_prop(fam: _Family, side: str = "") -> _Prop:
     """Value != 0 (side ""), value*e != 0 (right) or e*value != 0 (left)
     refutes the condition."""
-    arity = max(fam.value) + 1
     frame = {"": "%s", "right": "%s*e", "left": "e*%s"}[side]
 
     def check(R, e):
         sided = _sided(R, side, e)
-        code = _least_fail(fam.minima(R), sided != R.zero)
-        if code is None:
+        w = fam.least(R, sided != R.zero)
+        if w is None:
             return None, None
-        w = tuple(int(i) for i in np.unravel_index(code, (R.order,) * arity))
         lab = [R.labels[i] for i in w]
         if fam.premise is None:
             premise = "%s^%d = 0" % (lab[0], nilpotency_index(R, w[0]))
@@ -378,7 +514,7 @@ def _first_unreflected(R, pairs):
     not 0, with the least r making b*r*a nonzero; None if there is none."""
     if len(pairs) == 0:
         return None
-    _, rel = _scomm_cache(R)
+    rel = _rel(R)
     codes = rel[:, 0] * np.int64(R.order) + rel[:, 1]
     back = pairs[:, 1] * np.int64(R.order) + pairs[:, 0]
     pos = np.searchsorted(codes, back)
@@ -391,7 +527,7 @@ def _first_unreflected(R, pairs):
 
 
 def _chk_reflexive(R, e):
-    w = _first_unreflected(R, _scomm_cache(R)[1])
+    w = _first_unreflected(R, _rel(R))
     if w is None:
         return None, None
     a, b, r = w
@@ -401,7 +537,7 @@ def _chk_reflexive(R, e):
 
 
 def _chk_right_idempotent_reflexive(R, e):
-    rel = _scomm_cache(R)[1]
+    rel = _rel(R)
     idem = np.zeros(R.order, dtype=bool)
     idem[idempotents(R)] = True
     w = _first_unreflected(R, rel[idem[rel[:, 1]]])
@@ -414,7 +550,7 @@ def _chk_right_idempotent_reflexive(R, e):
 
 
 def _chk_prime(R, e):
-    rel = _scomm_cache(R)[1]
+    rel = _rel(R)
     live = rel[(rel[:, 0] != R.zero) & (rel[:, 1] != R.zero)]
     if len(live) == 0:
         return None, None

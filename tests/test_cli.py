@@ -26,6 +26,12 @@ SURVEY_DIGESTS = {
     # the second reference hash of ROADMAP.md (order 512)
     ("survey", "M(3,Z(2))", "--format", "json"):
         "44d96a0b68e4f4e554159f8dc9b6361fcabc2d6ba73ea0f84605843a603e4e93",
+    # the survey-mid pin of finbench/pins.json (order 729)
+    ("survey", "U(3,Z(3))", "--format", "json"):
+        "126b81f2c4d60cd8fc60d5d5c1467e5c114939156a2d4bd3c537c2d87821fa38",
+    # order 1024, the largest order under the default triple guard
+    ("survey", "prod(M(3,Z(2)),Z(2))", "--format", "json"):
+        "96b61d59e61e1a1b1e47af452d767fb9905c02e8eac7005d96c6e82457263b29",
 }
 
 
@@ -226,6 +232,27 @@ def test_laws_unknown_law_exits_two(monkeypatch):
     assert code == 2
     assert out == ""
     assert "unknown law" in err
+
+
+def test_laws_that_ignore_the_corpus_build_none_of_it(monkeypatch,
+                                                      tmp_path):
+    import finring.laws as laws_mod
+
+    def reached(*a, **k):
+        raise AssertionError("a corpus ring was axiom-checked")
+    monkeypatch.setattr(laws_mod, "verify_axioms", reached)
+    code, out, _ = run(["laws", "--law", "examples",
+                        "--law", "annihilator_quotient"])
+    assert code == 0
+    assert out.splitlines()[0] == ("corpus: builtin (46 entries, not built: "
+                                   "no selected law reads it)")
+    assert "note:" not in out
+    # the manifest is still parsed, so a malformed one is still refused
+    path = tmp_path / "bad.txt"
+    path.write_text("Z(4)\nfrob(3)\n")
+    code, _, err = run(["laws", "--law", "examples", "--corpus", str(path)])
+    assert code == 2
+    assert "line 2" in err
 
 
 def test_laws_violation_exit_code(tmp_path, monkeypatch):

@@ -9,6 +9,7 @@ from finring import (
     LAW_ORDER, Corpus, Guards, ParseError, RingError, corpus_from_text,
     default_corpus, load_corpus, run_law, run_laws,
 )
+from finring.laws import reads_corpus
 
 # totals pinned after a full engine pass over the shipped manifest; any
 # drift here means either the manifest or the checkers changed
@@ -184,6 +185,24 @@ def test_replicate_examples_standalone():
     assert rep.law == "examples"
     assert rep.totals["violated"] == 0
     assert rep.totals["holds"] == EXPECTED_TOTALS["examples"]["holds"]
+
+
+@pytest.mark.parametrize("law", ("annihilator_quotient", "examples"))
+def test_fixture_laws_give_the_same_report_without_a_corpus(law_reports,
+                                                            law):
+    # the cli builds no corpus for these two, so they must not read it
+    assert not reads_corpus([law])
+    assert (run_law(law, Corpus("unused", [])).to_dict()
+            == law_reports[law].to_dict())
+    assert reads_corpus([law, "ere"])
+
+
+def test_unbuilt_corpus_is_parsed_only():
+    corpus = corpus_from_text("Z(4)\n# note\nquot(Z(4),1)\n", build=False)
+    assert [e.text for e in corpus.entries] == ["Z(4)", "quot(Z(4),1)"]
+    assert corpus.rings() == []
+    with pytest.raises(ParseError, match="line 2"):
+        corpus_from_text("Z(4)\nfrob(3)\n", build=False)
 
 
 def test_examples_under_small_guards_skip_rather_than_fail():

@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -413,3 +414,126 @@ def test_every_witness_is_the_least_replaying_one_on_broken_tables(rings, text,
                                                        repeat=arity)
                           if replay_witness(S, prop, e, w)), None)
             assert v.witness == first, (prop, e, cells)
+
+
+# ---------------------------------------------------------------------------
+# the triple families on additive generators against plain loops
+
+def nonassociative_table():
+    """A biadditive product on (Z/2)^3 that is not associative: the
+    bits of an index are its coordinates over the basis 1, x, y, with
+    x*x = y, x*y = y*y = 0 and y*x = x, so (x*x)*x = x but x*(x*x) = 0."""
+    basis = {(1, 1): 4, (1, 2): 0, (2, 1): 2, (2, 2): 0}
+
+    def mul(a, b):
+        out = 0
+        for i, j in itertools.product(range(3), repeat=2):
+            if a >> i & 1 and b >> j & 1:
+                out ^= basis.get((i, j), 1 << (i + j))   # 1 is the identity
+        return out
+    ar = range(8)
+    return build_ring([[a ^ b for b in ar] for a in ar],
+                      [[mul(a, b) for b in ar] for a in ar], 0, 1,
+                      [str(a) for a in ar], "nonassociative")
+
+
+TRIPLE_PROPS = ("symmetric", "semicommutative", "reflexive",
+                "right_idempotent_reflexive", "prime", "e_symmetric",
+                "right_e_semicommutative", "left_e_semicommutative")
+
+
+def naive_triple_witnesses(R, scomm, rel, symm):
+    """(prop, e) -> the least tuple that violates prop at e, or None,
+    read off the plain-loop minima of naive_sweep_minima."""
+    n, z, mul = R.order, R.zero, R.mul.tolist()
+    sent = int(predicates._SENTINEL)
+
+    def least(minima, bad):
+        codes = [m for v, m in enumerate(minima) if m < sent and bad(v)]
+        if not codes:
+            return None
+        ab, c = divmod(min(codes), n)
+        return divmod(ab, n) + (c,)
+
+    def unreflected(pairs):
+        rels = set(rel)
+        for a, b in pairs:
+            if (b, a) not in rels:
+                return a, b, next(r for r in range(n)
+                                  if mul[mul[b][r]][a] != z)
+        return None
+
+    out = {
+        ("symmetric", None): least(symm, lambda v: v != z),
+        ("semicommutative", None): least(scomm, lambda v: v != z),
+        ("reflexive", None): unreflected(rel),
+        ("right_idempotent_reflexive", None): unreflected(
+            [(h, f) for h, f in rel if mul[f][f] == f]),
+        ("prime", None): next(((a, b) for a, b in rel
+                               if a != z and b != z), None),
+    }
+    for e in nonzero_idempotents(R):
+        out["e_symmetric", e] = least(symm, lambda v: mul[v][e] != z)
+        out["right_e_semicommutative", e] = least(
+            scomm, lambda v: mul[v][e] != z)
+        out["left_e_semicommutative", e] = least(
+            scomm, lambda v: mul[e][v] != z)
+    return out
+
+
+def assert_generator_sweeps_match_naive(R):
+    assert predicates._biadditive(R)
+    _, scomm, rel, symm = naive_sweep_minima(R)
+    assert [tuple(p) for p in predicates._rel(R).tolist()] == rel
+    for (prop, e), w in naive_triple_witnesses(R, scomm, rel, symm).items():
+        v = check_property(R, prop, e)
+        assert v.witness == w, (prop, e)
+        assert w is None or replay_witness(R, prop, e, w)
+
+
+def sweep_ring(text):
+    return nonassociative_table() if text == "nonassociative" else \
+        build_expr(text)
+
+
+@pytest.mark.parametrize("text", SWEEP_RINGS + ("nonassociative",))
+def test_generator_sweeps_give_the_least_witness(text):
+    assert_generator_sweeps_match_naive(sweep_ring(text))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SWEEP_RINGS + ("nonassociative",)), st.data())
+def test_generator_sweeps_give_the_least_witness_after_relabelling(text,
+                                                                   data):
+    # renaming the elements moves the greedy generators and the
+    # lexicographic order, so the least witness is often not the first
+    # generator tried
+    R = sweep_ring(text)
+    perm = np.array(data.draw(st.permutations(range(R.order))))
+    inv = np.ix_(np.argsort(perm), np.argsort(perm))
+    S = build_ring(perm[R.add[inv]], perm[R.mul[inv]], perm[R.zero],
+                   perm[R.one], [R.labels[i] for i in np.argsort(perm)])
+    assert_generator_sweeps_match_naive(S)
+
+
+def _forbid_sweeps(monkeypatch, *names):
+    def reached(R):
+        raise AssertionError("the other route ran")
+    for name in names:
+        monkeypatch.setattr(predicates, name, reached)
+
+
+@pytest.mark.parametrize("text", ("M(2,Z(3))", "U(3,Z(2))", "nonassociative"))
+def test_biadditive_ring_never_runs_the_cubic_sweeps(monkeypatch, text):
+    R = sweep_ring(text)
+    _forbid_sweeps(monkeypatch, "_symm_min", "_scomm_cache")
+    assert survey(R, properties=TRIPLE_PROPS)
+
+
+def test_broken_table_never_runs_the_generator_sweeps(rings, monkeypatch):
+    R = rings["U(2,Z(2))"]
+    S = broken_ring(R, [(1, 2, int(R.mul[1, 2]) ^ 1)])
+    assert not predicates._biadditive(S)
+    _forbid_sweeps(monkeypatch, "_symm_gen_min", "_scomm_gen_min",
+                   "_gen_rel")
+    assert survey(S, properties=TRIPLE_PROPS)
