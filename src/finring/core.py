@@ -36,10 +36,9 @@ class Guards:
 
     pair_cap bounds order for order^2-cost sweeps, triple_cap for
     order^3-cost sweeps, build_cap bounds the order of any table a
-    constructor is willing to materialize.  On a ring whose axioms are
-    proven on generators the triple properties cost O(n^2 d) cells, d
-    the size of an additive generating set, but triple_cap still
-    applies to them.
+    constructor is willing to materialize.  The triple properties cost
+    O(n^2 d) cells on d additive generators, and triple_cap still
+    applies to them; a table that _biadditive refuses gets them skipped.
     """
     pair_cap: int = 4096
     triple_cap: int = 1024
@@ -56,6 +55,12 @@ def _guard_skip(guards: Guards, kind: str, order: int) -> Optional[str]:
     if order > cap:
         return "order %d exceeds the %s sweep guard %d" % (order, kind, cap)
     return None
+
+
+# why a "triple" property skips a table within its guard that fails
+# _biadditive: only there do additive generators decide it
+_UNPROVEN_SKIP = ("table not proven biadditive, so the triple properties "
+                  "are not decided on additive generators")
 
 
 @dataclass(eq=False)

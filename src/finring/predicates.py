@@ -2,9 +2,9 @@
 distinguished idempotent.
 
 Verdicts carry the lexicographically least violating tuple so failures
-replay deterministically.  Sweeps over all pairs or triples are cached
-per ring as per-value minima: one pass prices every idempotent at once,
-and per-e verdicts afterwards cost O(order).
+replay deterministically.  Sweeps are cached per ring as per-value
+minima: one pass prices every idempotent at once, and per-e verdicts
+afterwards cost O(order).
 
 The triple families are decided on additive generators.  On a ring
 that passes core._biadditive ((R,+) abelian, + associative and both
@@ -23,9 +23,9 @@ quantified variable, and s(v) = v, v*e or e*v is additive in v:
 
 So per value the pair minima cost O(n^2 d) cells, d the size of a
 generating set, and the least refuting pair is the least pair minimum
-over bad values; one O(n) scan then finds its least c or r.  Every
-other table, including the broken ones tests feed in, takes the cubic
-sweeps _symm_min and _scomm_cache.
+over bad values; one O(n) scan then finds its least c or r.  Any
+other table gets the triple properties skipped (core._UNPROVEN_SKIP):
+generators decide nothing there, and no cubic sweep stands in.
 """
 from __future__ import annotations
 
@@ -35,8 +35,9 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .core import (_CHUNK_CELLS, DEFAULT_GUARDS, Guards, RingError,
-                   RingTable, _additive_generators, _biadditive, _guard_skip)
+from .core import (_CHUNK_CELLS, _UNPROVEN_SKIP, DEFAULT_GUARDS, Guards,
+                   RingError, RingTable, _additive_generators, _biadditive,
+                   _guard_skip)
 from .construct import resolve_element
 
 __all__ = [
@@ -198,16 +199,6 @@ def unit_inverse(R: RingTable, x) -> Optional[int]:
 # sweep caches: per-value minima over violating-candidate tuples
 
 
-def _multi_slice(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    # concatenation of index ranges [starts[i], starts[i]+lens[i])
-    total = int(lens.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    heads = np.repeat(np.cumsum(lens) - lens, lens)
-    rel = np.arange(total, dtype=np.int64) - heads
-    return np.repeat(starts, lens) + rel
-
-
 def _zero_pairs(R: RingTable) -> np.ndarray:
     zp = R._cache.get("zp")
     if zp is None:
@@ -226,65 +217,6 @@ def _rev_min(R: RingTable) -> np.ndarray:
         A, B = zp[:, 0], zp[:, 1]
         np.minimum.at(m, R.mul[B, A], A * n + B)
         R._cache["rev_min"] = m
-    return m
-
-
-def _arb_rows(R: RingTable, pairs: np.ndarray):
-    """Chunks (i0, A, B, ARB) of pairs (a, b) from row i0 on, with
-    ARB[i, r] = (a*r)*b over all r."""
-    step = max(1, _CHUNK_CELLS // max(1, R.order))
-    for i0 in range(0, len(pairs), step):
-        A, B = pairs[i0:i0 + step, 0], pairs[i0:i0 + step, 1]
-        yield i0, A, B, R.mul[R.mul[A], B[:, None]]
-
-
-def _scomm_cache(R: RingTable):
-    """(m, rel): m[v] = least code (a*n+b)*n+r over zero pairs and r
-    with a*r*b = v; rel = the pairs (a,b) with a*R*b = 0."""
-    c = R._cache.get("scomm")
-    if c is None:
-        zp = _zero_pairs(R)
-        n = R.order
-        # a*R*b = 0 forces (a*1)*b = 0, so rel is drawn from those
-        # pairs; they are the zero pairs whenever 1 is a right identity
-        cand = np.argwhere(R.mul[R.mul[:, R.one]] == R.zero)
-        same = np.array_equal(cand, zp)
-        m = np.full(n, _SENTINEL, dtype=np.int64)
-        relmask = np.zeros(len(cand), dtype=bool)
-        rcol = np.arange(n, dtype=np.int64)
-        for i0, A, B, ARB in _arb_rows(R, zp):
-            codes = ((A * n + B) * n)[:, None] + rcol[None, :]
-            np.minimum.at(m, ARB.ravel(), codes.ravel())
-            if same:
-                relmask[i0:i0 + len(A)] = (ARB == R.zero).all(axis=1)
-        if not same:
-            for i0, A, _, ARB in _arb_rows(R, cand):
-                relmask[i0:i0 + len(A)] = (ARB == R.zero).all(axis=1)
-        c = (m, cand[relmask])
-        R._cache["scomm"] = c
-    return c
-
-
-def _symm_min(R: RingTable) -> np.ndarray:
-    """m[v] = least code a*n^2+b*n+c over triples with (a*b)*c = 0 and
-    (a*c)*b = v."""
-    m = R._cache.get("symm_min")
-    if m is None:
-        n = R.order
-        mul = R.mul
-        zp = _zero_pairs(R)
-        # the zero pairs (x, c) are sorted by x: row x starts at starts[x]
-        cnt = np.bincount(zp[:, 0], minlength=n)
-        starts = np.cumsum(cnt) - cnt
-        bcol = np.arange(n, dtype=np.int64)
-        m = np.full(n, _SENTINEL, dtype=np.int64)
-        nn = np.int64(n) * n
-        for a in range(n):
-            ab = mul[a]                 # for each b, the c with (a*b)*c = 0
-            c = zp[_multi_slice(starts[ab], cnt[ab]), 1]
-            b = np.repeat(bcol, cnt[ab])
-            np.minimum.at(m, mul[mul[a, c], b], np.int64(a) * nn + b * n + c)
-        R._cache["symm_min"] = m
     return m
 
 
@@ -311,15 +243,17 @@ def _subgroup_generators(R: RingTable, members: np.ndarray) -> list:
 def _ann_generators(R: RingTable) -> np.ndarray:
     """Row x: a generating set of r.ann(x) = {c : x*c = 0}, padded with
     zero to one width.  Equal annihilators share one greedy set."""
-    rows, inv = np.unique(np.packbits(R.mul == R.zero, axis=1), axis=0,
-                          return_inverse=True)
-    sets = [_subgroup_generators(R, np.unpackbits(row, count=R.order))
+    rows = {}       # packed annihilator -> index of its greedy set
+    inv = [rows.setdefault(row.tobytes(), len(rows))
+           for row in np.packbits(R.mul == R.zero, axis=1)]
+    sets = [_subgroup_generators(R, np.unpackbits(
+                np.frombuffer(row, dtype=np.uint8), count=R.order))
             for row in rows]
     gens = np.full((len(sets), max(map(len, sets))), R.zero,
                    dtype=R.mul.dtype)
     for i, g in enumerate(sets):
         gens[i, :len(g)] = g
-    return gens[inv.reshape(-1)]
+    return gens[inv]
 
 
 def _symm_gen_min(R: RingTable) -> np.ndarray:
@@ -359,22 +293,17 @@ def _scomm_gen_min(R: RingTable) -> np.ndarray:
     return m
 
 
-def _gen_rel(R: RingTable) -> np.ndarray:
-    """The pairs (a, b) with (a*g)*b = 0 for every additive generator g
-    of R, in lex order."""
-    rel = R._cache.get("gen_rel")
+def _rel(R: RingTable) -> np.ndarray:
+    """The pairs (a, b) with a*R*b = 0, in lex order: on a _biadditive
+    table, those with (a*g)*b = 0 for every additive generator g of R."""
+    rel = R._cache.get("rel")
     if rel is None:
         # (a*1)*b = 0 is necessary, so rel is drawn from those pairs
         rel = np.argwhere(R.mul[R.mul[:, R.one]] == R.zero)
         for g in _additive_generators(R):
             rel = rel[R.mul[R.mul[rel[:, 0], g], rel[:, 1]] == R.zero]
-        R._cache["gen_rel"] = rel
+        R._cache["rel"] = rel
     return rel
-
-
-def _rel(R: RingTable) -> np.ndarray:
-    """The pairs (a, b) with a*R*b = 0, in lex order."""
-    return _gen_rel(R) if _biadditive(R) else _scomm_cache(R)[1]
 
 
 def _nil_min(R: RingTable) -> np.ndarray:
@@ -422,16 +351,15 @@ class _Family(NamedTuple):
     the value being a product of entries of w.  The sweep cache holds,
     for each value, the least code of a tuple meeting the premise.
 
-    A triple family may also give gen_minima: per value, the least
+    A triple family's minima price pairs instead: per value, the least
     code a*n+b of a pair whose generator (see the module docstring)
-    meets the premise with that value.  On a _biadditive ring these
-    price the pairs, and one scan of w[2] finishes the witness."""
+    meets the premise with that value, and one scan of w[2] finishes
+    the witness.  They are sound only on a _biadditive table."""
     kind: str
     minima: Callable    # R -> per-value least codes
     premise: Optional[tuple]    # entries of w with product 0, or None
                                 # for "w[0] is nilpotent"
     value: tuple        # entries of w whose product is the value
-    gen_minima: Optional[Callable] = None   # R -> per-value pair codes
 
     def premise_holds(self, R, w):
         if self.premise is None:
@@ -445,27 +373,22 @@ class _Family(NamedTuple):
         """The least tuple meeting the premise whose value v has
         bad[v], or None."""
         n = R.order
-        if self.gen_minima is not None and _biadditive(R):
-            code = _least_fail(self.gen_minima(R), bad)
-            if code is None:
-                return None
+        code = _least_fail(self.minima(R), bad)
+        if code is None:
+            return None
+        if self.kind == "triple":
             # the least refuting pair, then its least third entry
             w = divmod(code, n) + (np.arange(n),)
             hit = self.premise_holds(R, w) & bad[self.value_at(R, w)]
             return w[:2] + (int(np.argmax(hit)),)
-        code = _least_fail(self.minima(R), bad)
-        if code is None:
-            return None
         arity = max(self.value) + 1
         return tuple(int(i) for i in np.unravel_index(code, (n,) * arity))
 
 
 # the sweeps are looked up when called, so tests can stand in for them
 _REV = _Family("pair", _rev_min, (0, 1), (1, 0))
-_SCOMM = _Family("triple", lambda R: _scomm_cache(R)[0], (0, 1), (0, 2, 1),
-                 lambda R: _scomm_gen_min(R))
-_SYMM = _Family("triple", lambda R: _symm_min(R), (0, 1, 2), (0, 2, 1),
-                lambda R: _symm_gen_min(R))
+_SCOMM = _Family("triple", lambda R: _scomm_gen_min(R), (0, 1), (0, 2, 1))
+_SYMM = _Family("triple", lambda R: _symm_gen_min(R), (0, 1, 2), (0, 2, 1))
 _NIL = _Family("pair", _nil_min, None, (0,))
 
 
@@ -702,7 +625,8 @@ def check_property(R: RingTable, prop: str, e=None,
     """Exhaustively decide one property, possibly relative to e.
 
     Oversized rings get a skipped verdict rather than an error; the
-    caps distinguish order^2 sweeps from order^3 ones.
+    caps distinguish order^2 sweeps from order^3 ones.  A triple
+    property also skips a table that _biadditive refuses.
     """
     t0 = time.perf_counter()
     prop = property_name(prop, e)
@@ -713,6 +637,8 @@ def check_property(R: RingTable, prop: str, e=None,
         eidx = distinguished_idempotent(R, e)
         elabel = R.labels[eidx]
     skip = _guard_skip(guards, spec.kind, R.order)
+    if skip is None and spec.kind == "triple" and not _biadditive(R):
+        skip = _UNPROVEN_SKIP
     if skip:
         return PropertyVerdict(prop, R.provenance, elabel, "skipped",
                                reason=skip, elapsed=time.perf_counter() - t0)
