@@ -3,10 +3,14 @@
 A ring of order n is two n-by-n index tables (add, mul) over element
 indices 0..n-1, a negation vector, and distinguished zero/one indices.
 Elements are just indices; equality is index equality.  Tables are
-immutable once built: predicates cache derived sweeps on the ring.
+immutable once built, so whatever is derived from a ring is computed
+once, by _memo.  verify_axioms proves the axioms on a greedy generating
+set G of (R,+) (_subgroup_generators); G and zero generate R as a
+magma, which is all Light's associativity test needs.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -176,48 +180,62 @@ def _triple_scans(R: RingTable):
             ("left_distributive", ldist), ("right_distributive", rdist))
 
 
-def _additive_generators(R: RingTable) -> list:
-    """Greedy generating set G of (R,+) as a magma; memoized in
-    R._cache.
+def _memo(fn):
+    """fn(R), computed once per ring and kept in R._cache under fn's
+    name."""
+    key = fn.__name__
 
-    The least unreached index joins G until every index is reached; an
-    index counts as reached only once it is a sum of reached indices,
-    starting from zero, so G generates R even when + is not
-    associative.  Each round sums all pairs of reached indices, at most
-    n^2 cells.
+    @functools.wraps(fn)
+    def memoized(R: RingTable):
+        if key not in R._cache:
+            R._cache[key] = fn(R)
+        return R._cache[key]
+    return memoized
+
+
+def _subgroup_generators(R: RingTable, members=None) -> list:
+    """Greedy generating set of the additive subgroup whose members are
+    marked (all of R by default): the least member not yet reached
+    joins, and the reached subgroup H grows to H + <g> one coset
+    H + k*g at a time.  Every index reached is zero or h + g with h
+    reached earlier, so on any table build_ring accepts, the set and
+    zero generate the members as a magma.
     """
-    if "gens" not in R._cache:
-        R._cache["gens"] = _greedy_generators(R)
-    return R._cache["gens"]
-
-
-def _greedy_generators(R: RingTable) -> list:
-    add = R.add
     reached = np.zeros(R.order, dtype=bool)
     reached[R.zero] = True
     gens = []
-    count = 1
-    while count < R.order:
-        g = int(np.argmin(reached))
-        gens.append(g)
-        reached[g] = True
+    if members is None:
+        members = np.ones(R.order, dtype=bool)
+    for g in np.flatnonzero(members):
+        if reached[g]:
+            continue
+        gens.append(int(g))
+        coset = np.flatnonzero(reached)
         while True:
-            old = np.flatnonzero(reached)
-            reached[add[old[:, None], old]] = True
-            count = int(np.count_nonzero(reached))
-            if count == old.size:
+            coset = R.add[coset, g]
+            if reached[coset[0]]:       # cosets of H meet only if equal
                 break
+            reached[coset] = True
     return gens
 
 
-def _proven_on_generators(R: RingTable) -> frozenset:
-    """Triple axioms that hold on all of R, shown in O(n^2 d) cells;
-    memoized in R._cache.
+@_memo
+def _additive_generators(R: RingTable) -> list:
+    """The greedy generating set of all of (R,+)."""
+    return _subgroup_generators(R)
 
-    With G from _additive_generators and d = |G|:
+
+@_memo
+def _proven_on_generators(R: RingTable) -> frozenset:
+    """Triple axioms that hold on all of R, shown in O(n^2 d) cells.
+
+    G is _additive_generators, d = |G|.  G and zero generate R as a
+    magma on any table build_ring accepts (see _subgroup_generators),
+    and that is all the steps below need:
     - + is associative iff (x+g)+y == x+(g+y) for g in G (Light's
       associativity test; Clifford & Preston, The Algebraic Theory of
-      Semigroups I, 1961);
+      Semigroups I, 1961): the g that pass, zero among them, are closed
+      under +;
     - once + is associative, a map is additive iff phi(x+g) ==
       phi(x)+phi(g) for g in G: the g that pass are closed under +, and
       G generates the finite group (R,+) as a semigroup;
@@ -227,17 +245,11 @@ def _proven_on_generators(R: RingTable) -> frozenset:
     table's dtype.  An axiom left out may still hold: the exhaustive
     scan decides it.
     """
-    if "proven" not in R._cache:
-        R._cache["proven"] = frozenset(_prove_on_generators(R))
-    return R._cache["proven"]
-
-
-def _prove_on_generators(R: RingTable) -> set:
     add, mul = R.add, R.mul
     gens = _additive_generators(R)
     proven = set()
     if not all(np.array_equal(add[add[:, g]], add[:, add[g]]) for g in gens):
-        return proven
+        return frozenset()
     proven.add("add_associative")
     if all(np.array_equal(mul[:, add[:, g]], add[mul, mul[:, g, None]])
            for g in gens):
@@ -249,20 +261,18 @@ def _prove_on_generators(R: RingTable) -> set:
         gg = mul[np.ix_(G, G)]
         if np.array_equal(mul[gg[:, :, None], G], mul[G[:, None, None], gg]):
             proven.add("mul_associative")
-    return proven
+    return frozenset(proven)
 
 
+@_memo
 def _biadditive(R: RingTable) -> bool:
     """True when (R,+) is an abelian group and R's product distributes
     over + on both sides, so every sum of products of R's elements is
     additive in each of them.  Associativity of the product is not
-    needed.  Memoized in R._cache."""
-    if "biadditive" not in R._cache:
-        R._cache["biadditive"] = bool(
-            np.array_equal(R.add, R.add.T)
-            and {"add_associative", "left_distributive",
-                 "right_distributive"} <= _proven_on_generators(R))
-    return R._cache["biadditive"]
+    needed."""
+    return bool(np.array_equal(R.add, R.add.T)
+                and {"add_associative", "left_distributive",
+                     "right_distributive"} <= _proven_on_generators(R))
 
 
 def _exhaustive_report(R: RingTable, proven=frozenset()) -> AxiomReport:

@@ -2,9 +2,9 @@
 distinguished idempotent.
 
 Verdicts carry the lexicographically least violating tuple so failures
-replay deterministically.  Sweeps are cached per ring as per-value
-minima: one pass prices every idempotent at once, and per-e verdicts
-afterwards cost O(order).
+replay deterministically.  Sweeps are cached per ring (core._memo) as
+per-value minima: one pass prices every idempotent at once, and per-e
+verdicts afterwards cost O(order).
 
 The triple families are decided on additive generators.  On a ring
 that passes core._biadditive ((R,+) abelian, + associative and both
@@ -37,7 +37,7 @@ import numpy as np
 
 from .core import (_CHUNK_CELLS, _UNPROVEN_SKIP, DEFAULT_GUARDS, Guards,
                    RingError, RingTable, _additive_generators, _biadditive,
-                   _guard_skip)
+                   _guard_skip, _memo, _subgroup_generators)
 from .construct import resolve_element
 
 __all__ = [
@@ -83,30 +83,25 @@ class PropertyVerdict:
 # cached element sets
 
 
+@_memo
 def idempotents(R: RingTable) -> np.ndarray:
     """Sorted indices of all idempotent elements."""
-    c = R._cache.get("idem")
-    if c is None:
-        ar = np.arange(R.order)
-        c = np.flatnonzero(R.mul[ar, ar] == ar)
-        R._cache["idem"] = c
-    return c
+    ar = np.arange(R.order)
+    return np.flatnonzero(R.mul[ar, ar] == ar)
 
 
+@_memo
 def _nil_index(R: RingTable) -> np.ndarray:
     """Per element a, the least k with a^k = 0 over the right powers
     a^(k+1) = a^k * a, k <= ceil(log2 n)+1, and 0 if there is none.  In
     a ring the chain R > aR > a^2R > ... at least halves at every step,
     so a nilpotency index never exceeds log2 n."""
-    c = R._cache.get("nil_index")
-    if c is None:
-        ar = np.arange(R.order)
-        c = np.zeros(R.order, dtype=np.int64)
-        x = ar
-        for k in range(1, int(np.ceil(np.log2(R.order))) + 2):
-            c[(x == R.zero) & (c == 0)] = k
-            x = R.mul[x, ar]
-        R._cache["nil_index"] = c
+    ar = np.arange(R.order)
+    c = np.zeros(R.order, dtype=np.int64)
+    x = ar
+    for k in range(1, int(np.ceil(np.log2(R.order))) + 2):
+        c[(x == R.zero) & (c == 0)] = k
+        x = R.mul[x, ar]
     return c
 
 
@@ -120,12 +115,9 @@ def nilpotency_index(R: RingTable, a: int) -> Optional[int]:
     return int(_nil_index(R)[a]) or None
 
 
+@_memo
 def center(R: RingTable) -> np.ndarray:
-    c = R._cache.get("center")
-    if c is None:
-        c = np.flatnonzero((R.mul == R.mul.T).all(axis=1))
-        R._cache["center"] = c
-    return c
+    return np.flatnonzero((R.mul == R.mul.T).all(axis=1))
 
 
 def right_annihilator(R: RingTable, xs) -> np.ndarray:
@@ -157,27 +149,18 @@ def is_right_semicentral(R: RingTable, e) -> bool:
     return bool(np.array_equal(R.mul[row, e], row))
 
 
+@_memo
 def minimal_left_idempotents(R: RingTable) -> np.ndarray:
     """Nonzero idempotents f whose left ideal R*f is minimal."""
-    c = R._cache.get("min_left_idem")
-    if c is None:
-        out = []
-        for f in idempotents(R):
-            if f == R.zero:
-                continue
-            Rf = np.unique(R.mul[:, f])
-            minimal = True
-            for x in Rf:
-                if x == R.zero:
-                    continue
-                if not np.array_equal(np.unique(R.mul[:, x]), Rf):
-                    minimal = False
-                    break
-            if minimal:
-                out.append(int(f))
-        c = np.asarray(out, dtype=np.int64)
-        R._cache["min_left_idem"] = c
-    return c
+    out = []
+    for f in idempotents(R):
+        if f == R.zero:
+            continue
+        Rf = np.unique(R.mul[:, f])
+        if all(np.array_equal(np.unique(R.mul[:, x]), Rf)
+               for x in Rf if x != R.zero):
+            out.append(int(f))
+    return np.asarray(out, dtype=np.int64)
 
 
 def is_left_min_abel(R: RingTable) -> bool:
@@ -199,45 +182,20 @@ def unit_inverse(R: RingTable, x) -> Optional[int]:
 # sweep caches: per-value minima over violating-candidate tuples
 
 
+@_memo
 def _zero_pairs(R: RingTable) -> np.ndarray:
-    zp = R._cache.get("zp")
-    if zp is None:
-        zp = np.argwhere(R.mul == R.zero).astype(np.int64)  # lex (a, b)
-        R._cache["zp"] = zp
-    return zp
+    return np.argwhere(R.mul == R.zero).astype(np.int64)  # lex (a, b)
 
 
+@_memo
 def _rev_min(R: RingTable) -> np.ndarray:
     """m[v] = least code a*n+b over zero pairs (a,b) with b*a = v."""
-    m = R._cache.get("rev_min")
-    if m is None:
-        zp = _zero_pairs(R)
-        n = R.order
-        m = np.full(n, _SENTINEL, dtype=np.int64)
-        A, B = zp[:, 0], zp[:, 1]
-        np.minimum.at(m, R.mul[B, A], A * n + B)
-        R._cache["rev_min"] = m
+    zp = _zero_pairs(R)
+    n = R.order
+    m = np.full(n, _SENTINEL, dtype=np.int64)
+    A, B = zp[:, 0], zp[:, 1]
+    np.minimum.at(m, R.mul[B, A], A * n + B)
     return m
-
-
-def _subgroup_generators(R: RingTable, members: np.ndarray) -> list:
-    """Greedy generating set of the additive subgroup whose members are
-    marked: the least member not yet reached joins, and the reached
-    subgroup H grows to H + <g> one coset H + k*g at a time."""
-    reached = np.zeros(R.order, dtype=bool)
-    reached[R.zero] = True
-    gens = []
-    for g in np.flatnonzero(members):
-        if reached[g]:
-            continue
-        gens.append(int(g))
-        coset = np.flatnonzero(reached)
-        while True:
-            coset = R.add[coset, g]
-            if reached[coset[0]]:       # cosets of H meet only if equal
-                break
-            reached[coset] = True
-    return gens
 
 
 def _ann_generators(R: RingTable) -> np.ndarray:
@@ -256,53 +214,47 @@ def _ann_generators(R: RingTable) -> np.ndarray:
     return gens[inv]
 
 
+@_memo
 def _symm_gen_min(R: RingTable) -> np.ndarray:
     """m[v] = least code a*n+b over pairs (a, b) and generators g of
     r.ann(a*b) with (a*g)*b = v."""
-    m = R._cache.get("symm_gen_min")
-    if m is None:
-        n = R.order
-        mul = R.mul
-        gens = _ann_generators(R)
-        m = np.full(n, _SENTINEL, dtype=np.int64)
-        b = np.arange(n, dtype=np.int64)
-        step = max(1, _CHUNK_CELLS // n)
-        for a0 in range(0, n, step):
-            a = np.arange(a0, min(n, a0 + step), dtype=np.int64)[:, None]
-            codes = (a * n + b).ravel()
-            for j in range(gens.shape[1]):
-                g = gens[mul[a0:a0 + step], j]
-                np.minimum.at(m, mul[mul[a, g], b].ravel(), codes)
-        R._cache["symm_gen_min"] = m
+    n = R.order
+    mul = R.mul
+    gens = _ann_generators(R)
+    m = np.full(n, _SENTINEL, dtype=np.int64)
+    b = np.arange(n, dtype=np.int64)
+    step = max(1, _CHUNK_CELLS // n)
+    for a0 in range(0, n, step):
+        a = np.arange(a0, min(n, a0 + step), dtype=np.int64)[:, None]
+        codes = (a * n + b).ravel()
+        for j in range(gens.shape[1]):
+            g = gens[mul[a0:a0 + step], j]
+            np.minimum.at(m, mul[mul[a, g], b].ravel(), codes)
     return m
 
 
+@_memo
 def _scomm_gen_min(R: RingTable) -> np.ndarray:
     """m[v] = least code a*n+b over zero pairs (a, b) and additive
     generators g of R with (a*g)*b = v."""
-    m = R._cache.get("scomm_gen_min")
-    if m is None:
-        zp = _zero_pairs(R)
-        n = R.order
-        A, B = zp[:, 0], zp[:, 1]
-        codes = A * n + B
-        m = np.full(n, _SENTINEL, dtype=np.int64)
-        for g in _additive_generators(R):
-            np.minimum.at(m, R.mul[R.mul[A, g], B], codes)
-        R._cache["scomm_gen_min"] = m
+    zp = _zero_pairs(R)
+    n = R.order
+    A, B = zp[:, 0], zp[:, 1]
+    codes = A * n + B
+    m = np.full(n, _SENTINEL, dtype=np.int64)
+    for g in _additive_generators(R):
+        np.minimum.at(m, R.mul[R.mul[A, g], B], codes)
     return m
 
 
+@_memo
 def _rel(R: RingTable) -> np.ndarray:
     """The pairs (a, b) with a*R*b = 0, in lex order: on a _biadditive
     table, those with (a*g)*b = 0 for every additive generator g of R."""
-    rel = R._cache.get("rel")
-    if rel is None:
-        # (a*1)*b = 0 is necessary, so rel is drawn from those pairs
-        rel = np.argwhere(R.mul[R.mul[:, R.one]] == R.zero)
-        for g in _additive_generators(R):
-            rel = rel[R.mul[R.mul[rel[:, 0], g], rel[:, 1]] == R.zero]
-        R._cache["rel"] = rel
+    # (a*1)*b = 0 is necessary, so rel is drawn from those pairs
+    rel = np.argwhere(R.mul[R.mul[:, R.one]] == R.zero)
+    for g in _additive_generators(R):
+        rel = rel[R.mul[R.mul[rel[:, 0], g], rel[:, 1]] == R.zero]
     return rel
 
 

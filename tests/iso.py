@@ -11,9 +11,9 @@ from typing import Optional
 
 import numpy as np
 
-from .core import RingTable
-from .construct import subring
-from .predicates import center, idempotents, nilpotency_index
+from finring.core import RingTable
+from finring.construct import subring
+from finring.predicates import center, idempotents, nilpotency_index
 
 __all__ = ["find_isomorphism", "is_isomorphic", "ring_generators"]
 

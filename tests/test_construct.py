@@ -17,7 +17,7 @@ from finring.construct import (
     ideal_closure, is_ideal, matrix_ring, quotient, sub_ring_table, subring,
     trs, twisted_u2, zmod,
 )
-from finring.iso import find_isomorphism, is_isomorphic, ring_generators
+from iso import find_isomorphism, is_isomorphic, ring_generators
 
 from oracle import mul, naive_center
 from test_dsl import SAMPLES

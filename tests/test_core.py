@@ -6,9 +6,10 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from finring import (
-    Guards, RingError, SizeGuardError, build_expr, build_ring, verify_axioms,
+    Guards, RingError, SizeGuardError, build_expr, build_ring,
+    minimal_left_idempotents, survey, verify_axioms,
 )
-from finring import core
+from finring import core, predicates
 from finring.core import table_dtype
 
 from conftest import SMALL_RINGS
@@ -160,6 +161,73 @@ def _magma_closure(add, start):
         if sums <= reached:
             return reached
         reached |= sums
+
+
+def naive_greedy_generators(R):
+    # the least unreached index joins until every index is reached; the
+    # reached set is closed under all pairwise sums after each join
+    add = R.add
+    reached = np.zeros(R.order, dtype=bool)
+    reached[R.zero] = True
+    gens = []
+    count = 1
+    while count < R.order:
+        g = int(np.argmin(reached))
+        gens.append(g)
+        reached[g] = True
+        while True:
+            old = np.flatnonzero(reached)
+            reached[add[old[:, None], old]] = True
+            count = int(np.count_nonzero(reached))
+            if count == old.size:
+                break
+    return gens
+
+
+def test_coset_walk_matches_the_magma_closure_loop(corpus):
+    rings = [e.ring for e in corpus.rings()] + [
+        build_expr(text) for text in SAMPLES.values()]
+    assert len(rings) >= 50
+    for R in rings:
+        assert core._additive_generators(R) == naive_greedy_generators(R), \
+            R.provenance
+
+
+def test_memo_computes_once_per_ring():
+    calls = []
+
+    @core._memo
+    def probe(R):
+        calls.append(R)
+        return len(calls)
+
+    R, S = build_expr("Z(2)"), build_expr("Z(3)")
+    assert [probe(R), probe(R), probe(S), probe(S), probe(R)] == [1, 1, 2, 2, 1]
+    assert calls == [R, S]
+    assert R._cache["probe"] == 1 and S._cache["probe"] == 2
+
+
+# what the constructors keep in R._cache for the laws to read
+CONSTRUCTION_KEYS = {"params", "images", "ideal"}
+
+
+def test_memo_keys_miss_the_construction_keys():
+    memoized = {f.__name__ for mod in (core, predicates)
+                for f in vars(mod).values() if hasattr(f, "__wrapped__")}
+    assert memoized == {
+        "_additive_generators", "_proven_on_generators", "_biadditive",
+        "idempotents", "_nil_index", "center", "minimal_left_idempotents",
+        "_zero_pairs", "_rev_min", "_symm_gen_min", "_scomm_gen_min", "_rel"}
+    for text in ("H(Z(2),1,1)", "twist(Z(2),hom[#0,#1])", "quot(Z(12),4)"):
+        R = build_expr(text)
+        kept = {k: v for k, v in R._cache.items() if k in CONSTRUCTION_KEYS}
+        assert len(kept) == 1, text
+        verify_axioms(R)
+        survey(R)
+        minimal_left_idempotents(R)
+        assert set(R._cache) <= memoized | CONSTRUCTION_KEYS
+        for k, v in kept.items():
+            assert R._cache[k] is v, (text, k)
 
 
 @pytest.mark.parametrize("text, d", [

@@ -568,3 +568,17 @@ def test_broken_table_never_runs_the_generator_sweeps(rings, monkeypatch):
     assert len(verdicts) == 5 + 3 * (len(idempotents(S)) - 1)
     for v in verdicts:
         assert v.status == "skipped" and v.reason == core._UNPROVEN_SKIP
+
+
+def test_a_second_survey_reuses_the_sweep_caches(monkeypatch):
+    R = build_expr("M(2,Z(2))")         # fresh, so no sweep is cached yet
+    calls = []
+    real = predicates._ann_generators
+    monkeypatch.setattr(predicates, "_ann_generators",
+                        lambda R: calls.append(R) or real(R))
+    first = [v.to_dict() for v in survey(R)]
+    n_first = len(calls)
+    assert n_first >= 1
+    assert [v.to_dict() for v in survey(R)] == first
+    # _ann_generators is not memoized, but _symm_gen_min kept its minima
+    assert len(calls) == n_first
