@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import operator
 from functools import partial
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -34,7 +34,8 @@ __all__ = [
     "zmod", "matrix_ring", "h_ring", "k_ring", "direct_product", "dorroh",
     "twisted_u2", "trs", "quotient", "corner",
     "algebra_from_structure_constants", "subring", "sub_ring_table",
-    "ideal_closure", "is_ideal", "build_expr", "resolve_element",
+    "ideal_closure", "is_ideal", "build_expr", "expr_order",
+    "resolve_element",
 ]
 
 
@@ -276,9 +277,10 @@ class CoordCodec:
         return "expected a coefficient vector of length %d" % len(shape)
 
 
-def _matrix_codec(kind: str, n: int, base: RingTable) -> CoordCodec:
-    """The n x n literals over base of a matrix kind (see matrix_ring),
-    coordinates numbered in row-major order of their first entry."""
+def _matrix_grid(kind: str, n: int):
+    """The n x n shape of a matrix kind (see matrix_ring) and its
+    coordinate count, coordinates numbered in row-major order of their
+    first entry."""
     if kind not in ("M", "U", "D", "V"):
         raise RingError("unknown matrix kind %r" % kind)
     free = itertools.count()
@@ -294,7 +296,13 @@ def _matrix_codec(kind: str, n: int, base: RingTable) -> CoordCodec:
                 grid[i].append(0)
             else:
                 grid[i].append(next(free))
-    return CoordCodec(grid, [base] * next(free), "kind %s" % kind)
+    return grid, next(free)
+
+
+def _matrix_codec(kind: str, n: int, base: RingTable) -> CoordCodec:
+    """The n x n literals over base of a matrix kind."""
+    grid, count = _matrix_grid(kind, n)
+    return CoordCodec(grid, [base] * count, "kind %s" % kind)
 
 
 class RestrictedLayout:
@@ -437,6 +445,16 @@ def h_ring(base: RingTable, s, t, guards: Guards = DEFAULT_GUARDS,
     _require_central(base, t, "second parameter")
     prov = provenance or "H(%s,%s,%s)" % (base.provenance, base.labels[s],
                                           base.labels[t])
+    codec, mulfn = _h_formula(base, s, t)
+    ring = _coord_ring(codec, [base.add] * 3, mulfn, [base.zero] * 3,
+                       [base.one, base.zero, base.zero], prov, guards, [base])
+    ring._cache["params"] = (s, t)
+    return ring
+
+
+def _h_formula(base: RingTable, s: int, t: int):
+    """The codec and the product formula (see _build_table) of h_ring
+    over base at the parameter indices s and t."""
     badd, bmul, bneg = base.add, base.mul, base.neg
 
     def d(a, c, f):
@@ -455,10 +473,7 @@ def h_ring(base: RingTable, s, t, guards: Guards = DEFAULT_GUARDS,
 
     codec = CoordCodec([[0, None, None], [1, d, 2], [None, None, g]],
                        [base] * 3, "this family")
-    ring = _coord_ring(codec, [badd] * 3, mulfn, [base.zero] * 3,
-                       [base.one, base.zero, base.zero], prov, guards, [base])
-    ring._cache["params"] = (s, t)
-    return ring
+    return codec, mulfn
 
 
 def k_ring(base: RingTable, s, guards: Guards = DEFAULT_GUARDS,
@@ -791,8 +806,53 @@ def _dispatch(node: RingExpr, guards: Guards, prov: str) -> RingTable:
     return _BUILDERS[node.name](*args, guards, prov)
 
 
-def build_expr(node, guards: Guards = DEFAULT_GUARDS) -> RingTable:
-    """Build the ring described by an expression (text or AST)."""
+def expr_order(node) -> Optional[int]:
+    """The order an expression's arguments fix, without building it.
+
+    Sized are Z(n) and the matrix kinds over a base sized here.  Every
+    other constructor gets None: its builder checks arguments against
+    built inputs (centrality, associative constants, a homomorphism).
+    So does an expression whose builder's own argument check fails, so
+    that the builder still raises its error.
+    """
     if isinstance(node, str):
         node = parse(node)
+    if node.name == "Z":
+        (n,) = node.args
+        return n if n >= 2 else None
+    if node.name in ("M", "U", "D", "V"):
+        n, base = node.args
+        q = expr_order(base) if n >= 1 else None
+        return None if q is None else q ** _matrix_grid(node.name, n)[1]
+    return None
+
+
+def _build_order(node: RingExpr):
+    """The ring sub-expressions of node, then node, in the order
+    _dispatch builds them."""
+    for kind, value in zip(CONSTRUCTORS[node.name], node.args):
+        if kind == "ring":
+            yield from _build_order(value)
+        elif kind == "rings":
+            for factor in value:
+                yield from _build_order(factor)
+    yield node
+
+
+def build_expr(node, guards: Guards = DEFAULT_GUARDS) -> RingTable:
+    """Build the ring described by an expression (text or AST).
+
+    The build cap is checked first on the sub-expressions expr_order
+    sizes, in build order up to the first it cannot size, so an
+    expression over the cap fails before any table is filled, with the
+    error its build would raise.
+    """
+    if isinstance(node, str):
+        node = parse(node)
+    for sub in _build_order(node):
+        order = expr_order(sub)
+        if order is None:
+            break
+        if order > guards.build_cap:
+            _guard_build(order, guards, serialize(sub))
     return _dispatch(node, guards, serialize(node))

@@ -61,6 +61,15 @@ def _guard_skip(guards: Guards, kind: str, order: int) -> Optional[str]:
     return None
 
 
+def _axiom_skip(guards: Guards, order: int) -> Optional[str]:
+    """Why verify_axioms skips a ring of this order, or None when the
+    order is within the triple guard."""
+    if order > guards.triple_cap:
+        return ("order %d too large for exhaustive triple check (guard %d)"
+                % (order, guards.triple_cap))
+    return None
+
+
 # why a "triple" property skips a table within its guard that fails
 # _biadditive: only there do additive generators decide it
 _UNPROVEN_SKIP = ("table not proven biadditive, so the triple properties "
@@ -312,9 +321,7 @@ def verify_axioms(R: RingTable, guards: Guards = DEFAULT_GUARDS) -> AxiomReport:
     per axiom.  Raises SizeGuardError when order exceeds the triple
     guard: too large for exhaustive triple check.
     """
-    n = R.order
-    if n > guards.triple_cap:
-        raise SizeGuardError(
-            "order %d too large for exhaustive triple check (guard %d)"
-            % (n, guards.triple_cap))
+    skip = _axiom_skip(guards, R.order)
+    if skip:
+        raise SizeGuardError(skip)
     return _exhaustive_report(R, _proven_on_generators(R))

@@ -1,11 +1,12 @@
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from finring import build_expr, default_corpus, run_laws
+from finring import Corpus, build_expr, default_corpus, run_laws
 
 # everything here has order <= 16 so the naive oracle stays fast
 SMALL_RINGS = (
@@ -22,9 +23,24 @@ def rings():
     return {text: build_expr(text) for text in SMALL_RINGS}
 
 
+def built_whole(corpus):
+    """corpus with its unbuilt entries (those sized past every guard)
+    built too; their notes and orders are kept."""
+    return Corpus(corpus.source, [
+        replace(e, ring=build_expr(e.node)) if e.order is not None else e
+        for e in corpus.entries], corpus.elapsed)
+
+
 @pytest.fixture(scope="session")
 def corpus():
     return default_corpus()
+
+
+@pytest.fixture(scope="session")
+def whole_corpus(corpus):
+    """The default corpus with every entry built, M(2,Z(9)) included,
+    for the tests that read every corpus ring."""
+    return built_whole(corpus)
 
 
 @pytest.fixture(scope="session")

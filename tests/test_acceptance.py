@@ -54,12 +54,12 @@ def test_criterion_02_reversibility_law(law_reports):
               "0 violations" % len(instances))
 
 
-def test_criterion_03_implication_chain(corpus):
+def test_criterion_03_implication_chain(whole_corpus):
     chain = ("right_e_reduced", "e_symmetric", "right_e_reversible",
              "right_e_semicommutative")
     separations = {i: [] for i in range(3)}
     instances = 0
-    for entry in corpus.entries:
+    for entry in whole_corpus.entries:
         R = entry.ring
         if R.order > PAIR_CAP:
             continue

@@ -79,6 +79,20 @@ def test_build_guard_exits_three():
     assert "guard" in err
 
 
+def test_build_guard_exits_before_building_a_sub_expression(monkeypatch):
+    # M(2,Z(9)) is within the build cap, so only sizing the expression
+    # first keeps its table from being filled
+    def reached(*a, **k):
+        raise AssertionError("a table was filled")
+    for name in ("_build_table", "_broadcast", "_fill_rows"):
+        monkeypatch.setattr(finring.construct, name, reached)
+    code, out, err = run(["survey", "M(2,M(2,Z(9)))"])
+    assert code == 3
+    assert out == ""
+    assert err == ("size guard: M(2,M(2,Z(9))) has order 1853020188851841, "
+                   "over the build cap 10000\n")
+
+
 def test_parse_error_exits_two_with_position():
     code, _, err = run(["check", "Z(", "reversible"])
     assert code == 2

@@ -9,7 +9,8 @@ import pytest
 
 import finring
 from finring import (
-    RingError, build_expr, build_ring, parse, resolve_element, verify_axioms,
+    Guards, RingError, SizeGuardError, build_expr, build_ring, parse,
+    resolve_element, verify_axioms,
 )
 from finring import construct
 from finring.construct import (
@@ -253,17 +254,17 @@ LABEL_DIGEST = ("df9e23726c0cddabcb016355339e28d0"
                 "b15bf470b9bf6458b814d5ed86a8ae40")
 
 
-def test_labels_are_pinned(corpus):
+def test_labels_are_pinned(whole_corpus):
     h = hashlib.sha256()
-    for text, R in _labelled_rings(corpus):
+    for text, R in _labelled_rings(whole_corpus):
         h.update(("%s\n%s\n" % (text, "\n".join(R.labels))).encode())
     assert h.hexdigest() == LABEL_DIGEST
 
 
-def test_every_label_resolves_to_its_element(corpus):
+def test_every_label_resolves_to_its_element(whole_corpus):
     # every element up to order 1024, 64 seeded ones above
     rng = np.random.default_rng(9)
-    for text, R in _labelled_rings(corpus):
+    for text, R in _labelled_rings(whole_corpus):
         idx = (range(R.order) if R.order <= 1024
                else rng.choice(R.order, 64, replace=False).tolist())
         for i in idx:
@@ -341,6 +342,69 @@ def test_build_expr_accepts_parsed_nodes():
     node = parse("quot(prod(Z(2),Z(4)),(0,2))")
     R = build_expr(node)
     assert R.order == 4
+
+
+_SIZED = ("Z", "M", "U", "D", "V")
+
+
+def test_expr_order_matches_the_built_order(whole_corpus):
+    built = {ent.text: ent.ring for ent in whole_corpus.entries}
+    for text in SAMPLES.values():
+        built.setdefault(text, build_expr(text))
+    for text in ("M(2,U(2,Z(2)))", "V(4,Z(3))", "D(1,Z(5))", "U(3,D(2,Z(2)))"):
+        built[text] = build_expr(text)
+    sized = 0
+    for text, R in built.items():
+        node = parse(text)
+        if node.name in _SIZED:
+            assert construct.expr_order(node) == R.order, text
+            sized += 1
+        else:
+            assert construct.expr_order(node) is None, text
+    assert sized >= 20
+    # a matrix over a base it cannot size is not sized either
+    assert construct.expr_order("M(2,prod(Z(2),Z(2)))") is None
+    assert construct.expr_order("U(2,H(Z(2),1,1))") is None
+
+
+@pytest.mark.parametrize("text, message", [
+    ("Z(1)", "Z(n) needs n >= 2"),
+    ("M(0,Z(2))", "matrix size must be >= 1"),
+    ("M(2,Z(1))", "Z(n) needs n >= 2"),
+])
+def test_expr_order_leaves_bad_arguments_to_the_builder(text, message):
+    assert construct.expr_order(text) is None
+    with pytest.raises(RingError) as info:
+        build_expr(text)
+    assert str(info.value) == message
+
+
+@pytest.fixture
+def no_table_fills(monkeypatch):
+    def reached(*a, **k):
+        raise AssertionError("a table was filled")
+    for name in ("_build_table", "_broadcast", "_fill_rows"):
+        monkeypatch.setattr(construct, name, reached)
+
+
+def test_build_cap_fails_before_any_table_fill(no_table_fills):
+    with pytest.raises(SizeGuardError) as info:
+        build_expr("M(2,M(2,Z(9)))")
+    assert str(info.value) == ("M(2,M(2,Z(9))) has order 1853020188851841, "
+                               "over the build cap 10000")
+    with pytest.raises(SizeGuardError, match="^Z\\(20000\\) has order"):
+        build_expr("K(Z(20000),0)")
+    with pytest.raises(SizeGuardError, match="^U\\(2,Z\\(5\\)\\) has order 125"):
+        build_expr("prod(U(2,Z(5)),Z(3))", Guards(build_cap=100))
+
+
+def test_build_cap_check_stops_at_an_unsized_node():
+    # the twist is built first and refuses its map before the oversized
+    # factor is reached, so that error comes first
+    with pytest.raises(RingError, match="respect addition"):
+        build_expr("prod(twist(Z(4),hom[#0,#1,#3,#2]),Z(20000))")
+    with pytest.raises(SizeGuardError, match="^Z\\(20000\\)"):
+        build_expr("prod(twist(Z(4),hom[#0,#1,#2,#3]),Z(20000))")
 
 
 def test_iso_detects_crt_and_refuses_fakes(rings):

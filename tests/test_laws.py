@@ -1,15 +1,24 @@
 """The law suite over the shipped manifest: nothing may come out violated."""
 
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
 
+import finring.construct as construct
+import finring.laws as laws
 from finring import (
-    LAW_ORDER, Corpus, Guards, ParseError, RingError, corpus_from_text,
-    default_corpus, load_corpus, run_law, run_laws,
+    DEFAULT_GUARDS, LAW_ORDER, Corpus, Guards, ParseError, RingError,
+    build_expr, corpus_from_text, default_corpus, load_corpus,
+    replay_witness, run_law, run_laws,
 )
+from finring.cli import main as cli_main
+from finring.construct import expr_order
 from finring.laws import reads_corpus
+
+from conftest import built_whole
 
 # totals pinned after a full engine pass over the shipped manifest; any
 # drift here means either the manifest or the checkers changed
@@ -40,15 +49,19 @@ EXPECTED_TOTALS = {
 }
 
 
-def test_default_corpus_builds_whole(corpus):
+def test_default_corpus_leaves_only_the_oversized_entry_unbuilt(corpus):
     assert len(corpus.entries) == 46
     noted = [e for e in corpus.entries if e.note]
     assert len(noted) == 1
-    assert noted[0].text.startswith("M(2,Z(9))")
-    assert "axiom check skipped" in noted[0].note
+    (big,) = noted
+    assert big.text == "M(2,Z(9))"
+    assert (big.ring, big.verified, big.order) == (None, None, 6561)
+    assert big.note == ("axiom check skipped: order 6561 too large for "
+                        "exhaustive triple check (guard 1024)")
     for entry in corpus.entries:
         if entry.note is None:
             assert entry.verified is True
+            assert entry.ring is not None and entry.order is None
 
 
 def test_every_law_runs_in_order(law_reports, corpus):
@@ -225,3 +238,80 @@ def test_h_ring_law_needs_unit_parameters():
         (text, "not-applicable", "the catalogued families need unit "
                                  "parameters")
         for text in ("H(Z(4),2,1)", "H(Z(4),1,2)")]
+
+
+# sized entries at and around the lowered caps below, and unsized ones
+# past them, with every constructor a law filters on
+_EDGE_CORPUS = """
+Z(2)
+Z(16)
+Z(17)
+Z(65)
+M(2,Z(2))
+U(3,Z(2))
+V(3,Z(3))
+M(2,Z(3))
+H(Z(3),1,1)
+K(Z(2),1)
+prod(Z(5),Z(17))
+quot(prod(Z(5),Z(6)),(1,0))
+dorroh(Z(4),sub[])
+twist(Z(3),hom[#0,#1,#2])
+"""
+
+
+@pytest.mark.parametrize("pair, triple", [(16, 64), (64, 16), (16, 16)])
+def test_entries_past_every_guard_are_left_unbuilt(pair, triple):
+    guards = Guards(pair_cap=pair, triple_cap=triple)
+    corpus = corpus_from_text(_EDGE_CORPUS, guards=guards)
+    unbuilt = {e.text for e in corpus.entries if e.ring is None}
+    sized = {e.text: expr_order(e.node) for e in corpus.entries}
+    assert unbuilt == {text for text, order in sized.items()
+                       if order is not None and order > max(pair, triple)}
+    assert unbuilt >= {"Z(65)", "M(2,Z(3))"}
+    # the same cases, field by field, as from every entry built
+    whole = built_whole(corpus)
+    read = [law for law in LAW_ORDER if reads_corpus([law])]
+    for rep, full in zip(run_laws(corpus, guards, read),
+                         run_laws(whole, guards, read)):
+        assert rep.cases == full.cases, rep.law
+    stand_ins = [R for R in laws._entries(corpus)
+                 if isinstance(R, laws._Unbuilt)]
+    assert sorted(R.provenance for R in stand_ins) == sorted(unbuilt)
+    for R in stand_ins:
+        with pytest.raises(AttributeError):
+            R.mul
+
+
+def test_scene_e_reads_the_h_table_through_its_formula():
+    R16 = build_expr(laws._R16_TEXT)
+    H = build_expr("H(%s,1,1)" % laws._R16_TEXT)
+    codec, (E, A, B), prod = laws._scene_e_products(R16)
+    assert codec.labels() == H.labels
+    assert len(prod) == 4
+    for (x, y), xy in prod.items():
+        assert xy == int(H.mul[x, y]), (H.labels[x], H.labels[y])
+    assert replay_witness(H, "right_e_reversible", E, (A, B))
+    (case,) = laws._scene_e_extension(laws._Cases("examples"),
+                                      DEFAULT_GUARDS)
+    assert (case.ring, case.idempotent, case.status) == (
+        H.provenance, H.labels[E], "holds")
+    assert case.witness_labels == (H.labels[A], H.labels[B])
+
+
+def test_laws_build_no_table_past_the_triple_guard(monkeypatch):
+    orders = []
+    real = construct.build_ring
+
+    def recorded(add, *args, **kwargs):
+        orders.append(len(add))
+        return real(add, *args, **kwargs)
+    monkeypatch.setattr(construct, "build_ring", recorded)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli_main(["laws"]) == 0
+    assert len(orders) > 100
+    assert max(orders) <= 1024
+    # the unbuilt entry keeps its table-mode note
+    assert ("  note: M(2,Z(9)): axiom check skipped: order 6561 too large "
+            "for exhaustive triple check (guard 1024)") in out.getvalue()
