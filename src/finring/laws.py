@@ -159,6 +159,8 @@ def corpus_from_text(text: str, source: str = "<corpus>",
             ring = build_expr(node, guards)
         except RingError as err:
             raise RingError("%s line %d: %s" % (source, lineno, err))
+        except SizeGuardError as err:
+            raise SizeGuardError("%s line %d: %s" % (source, lineno, err))
         try:
             report = verify_axioms(ring, guards)
             if not report.passed:

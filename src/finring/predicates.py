@@ -4,7 +4,10 @@ distinguished idempotent.
 Verdicts carry the lexicographically least violating tuple so failures
 replay deterministically.  Sweeps are cached per ring (core._memo) as
 per-value minima: one pass prices every idempotent at once, and per-e
-verdicts afterwards cost O(order).
+verdicts afterwards cost O(order).  A pair property reads at most n^2
+cells; von_neumann_regular reads rows in blocks that double up to
+_CHUNK_CELLS cells and stops at the first block holding an irregular
+element, so it never gathers an n x n array.
 
 The triple families are decided on additive generators.  On a ring
 that passes core._biadditive ((R,+) abelian, + associative and both
@@ -198,38 +201,54 @@ def _rev_min(R: RingTable) -> np.ndarray:
     return m
 
 
-def _ann_generators(R: RingTable) -> np.ndarray:
-    """Row x: a generating set of r.ann(x) = {c : x*c = 0}, padded with
-    zero to one width.  Equal annihilators share one greedy set."""
+def _ann_generators(R: RingTable) -> tuple:
+    """(gens, width, cls): row k of gens holds, in its first width[k]
+    slots, a generating set of the k-th distinct right annihilator, and
+    r.ann(x) = {c : x*c = 0} is annihilator cls[x].  Equal annihilators
+    share one greedy set; the slots past a set's width hold zero."""
     rows = {}       # packed annihilator -> index of its greedy set
-    inv = [rows.setdefault(row.tobytes(), len(rows))
-           for row in np.packbits(R.mul == R.zero, axis=1)]
+    cls = np.array([rows.setdefault(row.tobytes(), len(rows))
+                    for row in np.packbits(R.mul == R.zero, axis=1)],
+                   dtype=R.mul.dtype)
     sets = [_subgroup_generators(R, np.unpackbits(
                 np.frombuffer(row, dtype=np.uint8), count=R.order))
             for row in rows]
-    gens = np.full((len(sets), max(map(len, sets))), R.zero,
-                   dtype=R.mul.dtype)
-    for i, g in enumerate(sets):
-        gens[i, :len(g)] = g
-    return gens[inv]
+    width = np.array([len(g) for g in sets])
+    gens = np.full((len(sets), width.max()), R.zero, dtype=R.mul.dtype)
+    for k, g in enumerate(sets):
+        gens[k, :len(g)] = g
+    return gens, width, cls
 
 
 @_memo
 def _symm_gen_min(R: RingTable) -> np.ndarray:
     """m[v] = least code a*n+b over pairs (a, b) and generators g of
-    r.ann(a*b) with (a*g)*b = v."""
+    r.ann(a*b) with (a*g)*b = v.  Each chunk's pairs are sorted by
+    their generator count, most first, so slot j reads only the prefix
+    of pairs whose annihilator has more than j generators."""
     n = R.order
     mul = R.mul
-    gens = _ann_generators(R)
+    gens, width, cls = _ann_generators(R)
+    d = gens.shape[1]
+    # a stable sort of uint8 keys is a radix sort
+    fewer = (d - width).astype(np.uint8)
     m = np.full(n, _SENTINEL, dtype=np.int64)
-    b = np.arange(n, dtype=np.int64)
-    step = max(1, _CHUNK_CELLS // n)
+    # a sorted pair holds about 30 bytes (its code, class, a, b and the
+    # gathers' index copies), so a chunk is 1/32 of _CHUNK_CELLS pairs
+    step = min(n, max(1, (_CHUNK_CELLS >> 5) // n))
+    cols = np.tile(np.arange(n, dtype=mul.dtype), step)
     for a0 in range(0, n, step):
-        a = np.arange(a0, min(n, a0 + step), dtype=np.int64)[:, None]
-        codes = (a * n + b).ravel()
-        for j in range(gens.shape[1]):
-            g = gens[mul[a0:a0 + step], j]
-            np.minimum.at(m, mul[mul[a, g], b].ravel(), codes)
+        rows = mul[a0:a0 + step]
+        key = fewer[cls[rows]].ravel()
+        codes = np.argsort(key, kind="stable")
+        live = np.searchsorted(key[codes], d - np.arange(d))
+        k = cls[rows.ravel()[codes]]
+        b = cols[codes]
+        codes += a0 * n
+        a = (codes // n).astype(mul.dtype)
+        for j, c in enumerate(live):
+            np.minimum.at(m, mul[mul[a[:c], gens[k[:c], j]], b[:c]],
+                          codes[:c])
     return m
 
 
@@ -470,7 +489,9 @@ def _chk_abelian(R, e):
 
 
 def _chk_directly_finite(R, e):
-    op = np.argwhere(R.mul == R.one)
+    rows = np.flatnonzero((R.mul == R.one).any(axis=1))
+    op = np.argwhere(R.mul[rows] == R.one)      # lex order: rows is sorted
+    op[:, 0] = rows[op[:, 0]]
     bad = np.flatnonzero(R.mul[op[:, 1], op[:, 0]] != R.one)
     if len(bad) == 0:
         return None, None
@@ -481,14 +502,20 @@ def _chk_directly_finite(R, e):
 
 
 def _chk_von_neumann_regular(R, e):
-    ar = np.arange(R.order)
-    axa = R.mul[R.mul, ar[:, None]]        # axa[a, x] = (a*x)*a
-    bad = np.flatnonzero(~(axa == ar[:, None]).any(axis=1))
-    if len(bad) == 0:
-        return None, None
-    a = int(bad[0])
-    return (a,), "no x satisfies %s*x*%s = %s" % (
-        R.labels[a], R.labels[a], R.labels[a])
+    # (a*x)*a in blocks of 1, 2, 4, ... rows, capped at _CHUNK_CELLS
+    # cells: a witness near the front costs few cells
+    n = R.order
+    a0, rows = 0, 1
+    while a0 < n:
+        a = np.arange(a0, min(n, a0 + rows))[:, None]
+        regular = (R.mul[R.mul[a0:a0 + rows], a] == a).any(axis=1)
+        if not regular.all():
+            a = a0 + int(np.argmin(regular))        # the first False
+            return (a,), "no x satisfies %s*x*%s = %s" % (
+                R.labels[a], R.labels[a], R.labels[a])
+        a0 += rows
+        rows = min(2 * rows, max(1, _CHUNK_CELLS // n))
+    return None, None
 
 
 _PROPS = {

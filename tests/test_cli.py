@@ -32,6 +32,12 @@ SURVEY_DIGESTS = {
     # order 1024, the largest order under the default triple guard
     ("survey", "prod(M(3,Z(2)),Z(2))", "--format", "json"):
         "96b61d59e61e1a1b1e47af452d767fb9905c02e8eac7005d96c6e82457263b29",
+    # the two survey-large pins of finbench/pins.json (order 4096, past
+    # the triple guard: every pair property is decided)
+    ("survey", "M(2,Z(8))", "--format", "json"):
+        "2efaeac86b976048db39ce444486ba1c67b448a60ec2f55b82f2e949dd4723af",
+    ("survey", "U(3,Z(4))", "--format", "json"):
+        "cf9f7056a189c3f156f8d592b4b60d691865133c979747a3e68d098c0e838680",
 }
 
 
@@ -267,6 +273,16 @@ def test_laws_that_ignore_the_corpus_build_none_of_it(monkeypatch,
     code, _, err = run(["laws", "--law", "examples", "--corpus", str(path)])
     assert code == 2
     assert "line 2" in err
+
+
+def test_laws_names_the_manifest_line_over_the_build_cap(tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_text("Z(4)\nZ(20000)\n")
+    code, out, err = run(["laws", "--corpus", str(path), "--law", "ere"])
+    assert code == 3
+    assert out == ""
+    assert "line 2:" in err
+    assert "over the build cap 10000" in err
 
 
 def test_laws_violation_exit_code(tmp_path, monkeypatch):

@@ -1,6 +1,8 @@
 """Engine verdicts against the naive loops, plus witness behavior."""
 
 import itertools
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from finring import build_ring, core, predicates
 
 import oracle
 from conftest import SMALL_RINGS
+from test_dsl import SAMPLES
 
 
 # property -> (sweep guard class, witness arity), written out here
@@ -450,6 +453,8 @@ def test_witnesses_on_random_biadditive_tables(pd, data):
         for e in instances(S, prop):
             v = check_property(S, prop, e)
             assert v.witness == least_replaying(S, prop, e), (prop, e)
+    assert (predicates._symm_gen_min(S).tolist()
+            == padded_symm_gen_min(S).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -582,3 +587,171 @@ def test_a_second_survey_reuses_the_sweep_caches(monkeypatch):
     assert [v.to_dict() for v in survey(R)] == first
     # _ann_generators is not memoized, but _symm_gen_min kept its minima
     assert len(calls) == n_first
+
+
+# ---------------------------------------------------------------------------
+# _symm_gen_min against the kernel that pads every generator set
+
+def padded_symm_gen_min(R):
+    """_symm_gen_min with every annihilator's generators padded with
+    zero to the widest set, so that each slot gathers all n^2 pairs.
+    On a _biadditive table a padded slot offers only the value
+    (a*0)*b = 0, whose minimum is already code 0 from the pair (0, 0)
+    (r.ann(0) = R has a generator), so the minima are the same."""
+    n, mul = R.order, R.mul
+    gens, _, cls = predicates._ann_generators(R)
+    m = np.full(n, predicates._SENTINEL, dtype=np.int64)
+    a = np.arange(n)[:, None]
+    codes = (a * n + np.arange(n)).ravel()
+    for j in range(gens.shape[1]):
+        g = gens[cls[mul], j]
+        np.minimum.at(m, mul[mul[a, g], np.arange(n)].ravel(), codes)
+    return m
+
+
+def fresh_symm_gen_min(R):
+    """_symm_gen_min computed anew, past the per-ring memo."""
+    return predicates._symm_gen_min.__wrapped__(R)
+
+
+def test_symm_kernel_matches_the_padded_one_on_the_corpus(corpus):
+    rings = [e.ring for e in corpus.entries
+             if e.ring is not None and e.ring.order <= 1024]
+    assert max(R.order for R in rings) == 512
+    for R in rings:
+        assert (fresh_symm_gen_min(R).tolist()
+                == padded_symm_gen_min(R).tolist()), R.provenance
+
+
+@pytest.mark.parametrize("text", sorted(SAMPLES.values()))
+@pytest.mark.parametrize("cells", [1, 1 << 11, 1 << 22])
+def test_symm_kernel_matches_the_padded_one_on_every_constructor(text,
+                                                                 cells):
+    # _CHUNK_CELLS 1 sorts one row at a time, 1 << 11 a few rows (64
+    # pairs), and the default sorts every sample's table at once
+    R = build_expr(text)
+    with mock.patch.object(predicates, "_CHUNK_CELLS", cells):
+        assert (fresh_symm_gen_min(R).tolist()
+                == padded_symm_gen_min(R).tolist())
+
+
+# ---------------------------------------------------------------------------
+# the pair checkers that stop at the first witness
+
+# _CHUNK_CELLS values: one row per block; blocks of 1, 2, 4, then capped
+# at 48 // n rows (3 on order 16, 6 on order 8); the default
+CHUNKS = (1, 48, 1 << 22)
+
+
+def naive_regular_witness(R):
+    """The least a with (a*x)*a != a for every x, or None."""
+    n, mul = R.order, R.mul.tolist()
+    return next(((a,) for a in range(n)
+                 if all(mul[mul[a][x]][a] != a for x in range(n))), None)
+
+
+def naive_finite_witness(R):
+    """The least (a, b) with a*b = 1 but b*a != 1, or None."""
+    n, one, mul = R.order, R.one, R.mul.tolist()
+    return next(((a, b) for a in range(n) for b in range(n)
+                 if mul[a][b] == one and mul[b][a] != one), None)
+
+
+def assert_pair_checkers_match_naive(R, cells):
+    with mock.patch.object(predicates, "_CHUNK_CELLS", cells):
+        regular = check_property(R, "von_neumann_regular")
+        finite = check_property(R, "directly_finite")
+    assert regular.witness == naive_regular_witness(R)
+    assert finite.witness == naive_finite_witness(R)
+    assert ((regular.status == "holds")
+            == oracle.naive_von_neumann_regular(R))
+    assert (finite.status == "holds") == oracle.naive_directly_finite(R)
+
+
+@pytest.mark.parametrize("text", SMALL_RINGS)
+@pytest.mark.parametrize("cells", CHUNKS)
+def test_pair_checkers_match_naive_in_every_block_size(rings, text, cells):
+    assert_pair_checkers_match_naive(rings[text], cells)
+
+
+@pytest.mark.parametrize("cells", CHUNKS)
+def test_pair_checkers_match_naive_on_the_corpus(corpus, cells):
+    for entry in corpus.entries:
+        if entry.ring is not None and entry.ring.order <= 64:
+            assert_pair_checkers_match_naive(entry.ring, cells)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(SMALL_RINGS), st.sampled_from(CHUNKS), st.data())
+def test_pair_checkers_match_naive_on_broken_tables(rings, text, cells,
+                                                     data):
+    R = rings[text]
+    cells_set = data.draw(st.lists(
+        st.tuples(*[st.integers(0, R.order - 1)] * 3),
+        min_size=1, max_size=4))
+    assert_pair_checkers_match_naive(broken_ring(R, cells_set), cells)
+
+
+def relabelled(R, perm):
+    """R with element i renamed perm[i]."""
+    inv = np.ix_(np.argsort(perm), np.argsort(perm))
+    return build_ring(perm[R.add[inv]], perm[R.mul[inv]], perm[R.zero],
+                      perm[R.one], [R.labels[i] for i in np.argsort(perm)])
+
+
+def test_regular_witness_in_the_first_row(rings):
+    # Z(4) relabelled so that index 0 is 2, its only irregular element
+    S = relabelled(rings["Z(4)"], np.array([1, 2, 0, 3]))
+    assert S.labels[0] == "2"
+    assert naive_regular_witness(S) == (0,)
+    for cells in CHUNKS:
+        assert_pair_checkers_match_naive(S, cells)
+
+
+def test_regular_witness_in_the_last_row():
+    # Z(7) with 6*x = 0 for every x: 6 is the only irregular element
+    R = build_expr("Z(7)")
+    S = broken_ring(R, [(6, x, R.zero) for x in range(7)])
+    for cells in (1, 21, 1 << 22):       # blocks 1, 2, 3, 1 at 21 cells
+        with mock.patch.object(predicates, "_CHUNK_CELLS", cells):
+            v = check_property(S, "von_neumann_regular")
+        assert v.witness == (6,)
+        assert v.detail == "no x satisfies 6*x*6 = 6"
+
+
+def test_regular_witness_is_the_least_of_a_later_block():
+    # Z(7) with the rows of 5 and 6 zero: both are irregular, and the
+    # blocks 0 | 1 2 | 3 4 5 6 put them together in the third one
+    R = build_expr("Z(7)")
+    S = broken_ring(R, [(a, x, R.zero) for a in (5, 6) for x in range(7)])
+    assert naive_regular_witness(S) == (5,)
+    for cells in (28, 1 << 22):
+        assert_pair_checkers_match_naive(S, cells)
+
+
+def test_directly_finite_reads_every_one_of_a_row():
+    # Z(7) with 2*6 = 1: row 2 holds 1 at 4 (4*2 = 1, fine) and at 6,
+    # where 6*2 = 5
+    R = build_expr("Z(7)")
+    S = broken_ring(R, [(2, 6, R.one)])
+    assert np.flatnonzero(S.mul[2] == S.one).tolist() == [4, 6]
+    v = check_property(S, "directly_finite")
+    assert v.witness == naive_finite_witness(S) == (2, 6)
+    assert v.detail == "2*6 = 1 but 6*2 = 5"
+
+
+def test_regular_scan_holds_no_square_temporary():
+    # M(3,Z(2)) is regular, so every row is read.  With 8 rows per block
+    # the peak allocation is a few bytes per block cell (the gather's
+    # intp index copy is 8), under the n^2 bytes of one n x n bool mask
+    R = build_expr("M(3,Z(2))")
+    cells = 8 * R.order
+    with mock.patch.object(predicates, "_CHUNK_CELLS", cells):
+        tracemalloc.start()
+        try:
+            w, _ = predicates._chk_von_neumann_regular(R, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert w is None
+    assert peak < 32 * cells < R.order ** 2
