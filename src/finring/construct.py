@@ -23,8 +23,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .core import (_CHUNK_CELLS, DEFAULT_GUARDS, Guards, RingError,
-                   RingTable, SizeGuardError, _biadditive, build_ring,
+from .core import (DEFAULT_GUARDS, Guards, RingError, RingTable,
+                   SizeGuardError, _biadditive, _row_blocks, build_ring,
                    table_dtype)
 from .dsl import parse, parse_element
 from .expr import (CONSTRUCTORS, BracketList, CosetLit, IntLit, RawIndex,
@@ -78,7 +78,7 @@ class _CoordSpace:
 def _build_table(space: _CoordSpace, coord_fn, dtype,
                  rows: np.ndarray = None) -> np.ndarray:
     """Evaluate a formula on the given rows (all by default) of an
-    order x order table, chunk by chunk.
+    order x order table, in row blocks.
 
     coord_fn(rc, cc) gets broadcastable row coords (m,1) and column
     coords (1,order) and returns the output coordinate arrays.
@@ -88,10 +88,9 @@ def _build_table(space: _CoordSpace, coord_fn, dtype,
         rows = np.arange(n, dtype=np.int64)
     out = np.empty((len(rows), n), dtype=dtype)
     cc = [c[None, :] for c in space.decompose(np.arange(n, dtype=np.int64))]
-    step = max(1, _CHUNK_CELLS // n)
-    for r0 in range(0, len(rows), step):
-        rc = [c[:, None] for c in space.decompose(rows[r0:r0 + step])]
-        out[r0:r0 + step] = space.compose(coord_fn(rc, cc))
+    for block in _row_blocks(len(rows), n):
+        rc = [c[:, None] for c in space.decompose(rows[block])]
+        out[block] = space.compose(coord_fn(rc, cc))
     return out
 
 
@@ -115,7 +114,10 @@ def _fill_rows(space: _CoordSpace, mulfn, add: np.ndarray,
     Row x is the sum over k of the row of x_k e_k (x_k at coordinate k,
     zero elsewhere): right distributivity.  The rows are summed one
     coordinate at a time, one gather in add per coordinate, so the
-    whole table costs about n^2 gathered cells in add's dtype.
+    whole table costs about n^2 gathered cells in add's dtype.  The
+    last gather is left whole, one n^2 temporary that is the table
+    itself: filled in row blocks, it would hold one block more beside the
+    table and the rows it sums, and save nothing.
     """
     sizes = space.sizes
     rows = _build_table(space, mulfn, add.dtype, np.concatenate(

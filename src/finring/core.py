@@ -21,8 +21,11 @@ __all__ = [
     "AxiomReport", "build_ring", "verify_axioms",
 ]
 
-# cells touched per chunk in table builds and triple sweeps; bounds peak
-# memory
+# cells per block of every n^2-cell mask or gather (_row_blocks), which
+# bounds each stage's scratch memory over its tables.  Two n^2
+# temporaries remain, both in construct and both a table itself:
+# _broadcast's output, and _fill_rows's last gather, which a blocked fill
+# would not shrink (it would hold one block more beside the table)
 _CHUNK_CELLS = 1 << 22
 
 
@@ -102,8 +105,34 @@ class AxiomReport:
     violations: list
 
 
+def _row_blocks(rows: int, width: int = None, grow: bool = False):
+    """Slices covering rows 0..rows-1 in order, each at most
+    _CHUNK_CELLS cells of width (default rows) columns and at least one
+    row.  With grow the blocks hold 1, 2, 4, ... rows up to that cap, so
+    a scan that stops at an early witness reads few cells."""
+    cap = max(1, _CHUNK_CELLS // (width or rows))
+    r0, step = 0, 1 if grow else cap
+    while r0 < rows:
+        yield slice(r0, min(rows, r0 + step))
+        r0 += step
+        step = min(2 * step, cap)
+
+
 def table_dtype(order: int):
     return np.int16 if order <= np.iinfo(np.int16).max else np.int32
+
+
+def _negation(add: np.ndarray, zero: int, dtype) -> np.ndarray:
+    """neg[a] = the one b with a+b = zero, row block by row block;
+    RingError when some row has no such b or more than one."""
+    neg = np.empty(len(add), dtype=dtype)
+    for rows in _row_blocks(len(add)):
+        is_zero = add[rows] == zero
+        if not (is_zero.sum(axis=1) == 1).all():
+            raise RingError("add not a group: some row lacks a unique "
+                            "inverse")
+        neg[rows] = is_zero.argmax(axis=1)
+    return neg
 
 
 def build_ring(add, mul, zero: int, one: int, labels: Sequence[str],
@@ -134,34 +163,33 @@ def build_ring(add, mul, zero: int, one: int, labels: Sequence[str],
     ar = np.arange(n)
     if not (np.array_equal(add[zero], ar) and np.array_equal(add[:, zero], ar)):
         raise RingError("add not a group: stated zero is not an identity")
-    is_zero = add == zero
-    if not (is_zero.sum(axis=1) == 1).all():
-        raise RingError("add not a group: some row lacks a unique inverse")
-    neg = is_zero.argmax(axis=1)
+    dt = table_dtype(n)
+    neg = _negation(add, zero, dt)
     labels = tuple(str(s) for s in labels)
     if len(labels) != n:
         raise RingError("expected %d labels, got %d" % (n, len(labels)))
     if len(set(labels)) != n:
         raise RingError("labels are not distinct")
-    dt = table_dtype(n)
     return RingTable(order=n, add=np.ascontiguousarray(add, dtype=dt),
                      mul=np.ascontiguousarray(mul, dtype=dt),
-                     neg=neg.astype(dt), zero=int(zero), one=int(one),
+                     neg=neg, zero=int(zero), one=int(one),
                      labels=labels, provenance=provenance, layout=layout)
 
 
 def _first_triple_witness(fn, n: int):
-    # fn(a0, a1) -> (lhs, rhs) arrays of shape (a1-a0, n, n); scan in
-    # lexicographic (a, b, c) order and stop at the first mismatch
-    rows = max(1, _CHUNK_CELLS // max(1, n * n))
-    for a0 in range(0, n, rows):
-        a1 = min(n, a0 + rows)
-        lhs, rhs = fn(a0, a1)
-        neq = lhs != rhs
-        if neq.any():
-            flat = int(np.flatnonzero(neq.ravel())[0])
-            i, b, c = np.unravel_index(flat, neq.shape)
-            return (a0 + int(i), int(b), int(c))
+    # fn(rows, cols) -> (lhs, rhs) of shape (len(rows), len(cols), n),
+    # both sides at (a, b, c) for a in rows and b in cols; scan in
+    # lexicographic (a, b, c) order and stop at the first mismatch.  A
+    # block takes whole rows of a while they fit and splits b only within
+    # a single row, so the blocks keep that order.  It holds both sides,
+    # the mask and an index copy, so each side is half of _CHUNK_CELLS
+    for rows in _row_blocks(n, 2 * n * n):
+        for cols in _row_blocks(n, 2 * n * (rows.stop - rows.start)):
+            lhs, rhs = fn(rows, cols)
+            neq = lhs != rhs
+            if neq.any():
+                i, b, c = np.unravel_index(int(np.argmax(neq)), neq.shape)
+                return (rows.start + int(i), cols.start + int(b), int(c))
     return None
 
 
@@ -170,20 +198,20 @@ def _triple_scans(R: RingTable):
     add, mul = R.add, R.mul
 
     def assoc(table):
-        def fn(a0, a1):
-            ab = table[a0:a1, :]
-            return table[ab], table[a0:a1][:, table]
+        def fn(rows, cols):
+            ab = table[rows, cols]
+            return table[ab], table[rows][:, table[cols]]
         return fn
 
-    def ldist(a0, a1):
-        lhs = mul[a0:a1][:, add]                    # a*(b+c)
-        ab = mul[a0:a1, :]
-        return lhs, add[ab[:, :, None], ab[:, None, :]]   # a*b + a*c
+    def ldist(rows, cols):
+        ab = mul[rows]
+        lhs = ab[:, add[cols]]                          # a*(b+c)
+        return lhs, add[ab[:, cols, None], ab[:, None, :]]  # a*b + a*c
 
-    def rdist(a0, a1):
-        ba = np.ascontiguousarray(mul[:, a0:a1].T)
-        lhs = ba[:, add]                            # (b+c)*a
-        return lhs, add[ba[:, :, None], ba[:, None, :]]   # b*a + c*a
+    def rdist(rows, cols):
+        ba = np.ascontiguousarray(mul[:, rows].T)
+        lhs = ba[:, add[cols]]                          # (b+c)*a
+        return lhs, add[ba[:, cols, None], ba[:, None, :]]  # b*a + c*a
 
     return (("add_associative", assoc(add)), ("mul_associative", assoc(mul)),
             ("left_distributive", ldist), ("right_distributive", rdist))
@@ -250,20 +278,27 @@ def _proven_on_generators(R: RingTable) -> frozenset:
       G generates the finite group (R,+) as a semigroup;
     - once both distributive laws hold, both sides of (ab)c == a(bc)
       are additive in each argument, so G^3 suffices.
-    Each step works on one generator at a time, n^2 cells in the
-    table's dtype.  An axiom left out may still hold: the exhaustive
-    scan decides it.
+    Each step works on one generator and one row block at a time.  An
+    axiom left out may still hold: the exhaustive scan decides it.
     """
     add, mul = R.add, R.mul
     gens = _additive_generators(R)
+
+    def holds(lhs, rhs):
+        # lhs(rows, g) == rhs(rows, g) for every g in G, in row blocks
+        return all(np.array_equal(lhs(rows, g), rhs(rows, g))
+                   for g in gens for rows in _row_blocks(R.order))
+
     proven = set()
-    if not all(np.array_equal(add[add[:, g]], add[:, add[g]]) for g in gens):
+    if not holds(lambda rows, g: add[add[rows, g]],           # (x+g)+y
+                 lambda rows, g: add[rows][:, add[g]]):       # x+(g+y)
         return frozenset()
     proven.add("add_associative")
-    if all(np.array_equal(mul[:, add[:, g]], add[mul, mul[:, g, None]])
-           for g in gens):
+    if holds(lambda rows, g: mul[rows][:, add[:, g]],         # x*(y+g)
+             lambda rows, g: add[mul[rows], mul[rows, g, None]]):
         proven.add("left_distributive")
-    if all(np.array_equal(mul[add[:, g]], add[mul, mul[g]]) for g in gens):
+    if holds(lambda rows, g: mul[add[rows, g]],               # (x+g)*y
+             lambda rows, g: add[mul[rows], mul[g]]):
         proven.add("right_distributive")
     if {"left_distributive", "right_distributive"} <= proven:
         G = np.array(gens)
@@ -274,12 +309,26 @@ def _proven_on_generators(R: RingTable) -> frozenset:
 
 
 @_memo
+def _add_noncommuting(R: RingTable) -> Optional[tuple]:
+    """The least (a, b) with a+b != b+a, or None.  Its a < b, as (b, a)
+    fails too, so a row block reads only the columns from its first row
+    on."""
+    for rows in _row_blocks(R.order):
+        r0 = rows.start
+        neq = R.add[rows, r0:] != R.add[r0:, rows].T
+        if neq.any():
+            a, b = divmod(int(np.argmax(neq)), neq.shape[1])
+            return (r0 + a, r0 + b)
+    return None
+
+
+@_memo
 def _biadditive(R: RingTable) -> bool:
     """True when (R,+) is an abelian group and R's product distributes
     over + on both sides, so every sum of products of R's elements is
     additive in each of them.  Associativity of the product is not
     needed."""
-    return bool(np.array_equal(R.add, R.add.T)
+    return bool(_add_noncommuting(R) is None
                 and {"add_associative", "left_distributive",
                      "right_distributive"} <= _proven_on_generators(R))
 
@@ -290,11 +339,9 @@ def _exhaustive_report(R: RingTable, proven=frozenset()) -> AxiomReport:
     add, mul = R.add, R.mul
     violations = []
 
-    neq = add != add.T
-    if neq.any():
-        flat = int(np.flatnonzero(neq.ravel())[0])
-        a, b = np.unravel_index(flat, neq.shape)
-        violations.append(("add_commutative", (int(a), int(b))))
+    w = _add_noncommuting(R)
+    if w is not None:
+        violations.append(("add_commutative", w))
 
     ar = np.arange(n, dtype=add.dtype)
     bad = np.flatnonzero((mul[R.one] != ar) | (mul[:, R.one] != ar))

@@ -5,9 +5,14 @@ Verdicts carry the lexicographically least violating tuple so failures
 replay deterministically.  Sweeps are cached per ring (core._memo) as
 per-value minima: one pass prices every idempotent at once, and per-e
 verdicts afterwards cost O(order).  A pair property reads at most n^2
-cells; von_neumann_regular reads rows in blocks that double up to
-_CHUNK_CELLS cells and stops at the first block holding an irregular
-element, so it never gathers an n x n array.
+cells, and every n^2-cell mask or gather here is made in row blocks of
+at most core._CHUNK_CELLS cells (core._row_blocks), so a sweep holds
+its blocks and its results beside the tables, never an n x n array.
+The pair lists (_zero_pairs, _rel) are int32 and their codes a*n+b
+int64.  von_neumann_regular reads rows in blocks that double up to
+that cap and stops at the first block holding an irregular element.
+The only n^2 temporaries left are in construct's table builds, and
+each is a table itself (see core._CHUNK_CELLS).
 
 The triple families are decided on additive generators.  On a ring
 that passes core._biadditive ((R,+) abelian, + associative and both
@@ -38,9 +43,9 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .core import (_CHUNK_CELLS, _UNPROVEN_SKIP, DEFAULT_GUARDS, Guards,
-                   RingError, RingTable, _additive_generators, _biadditive,
-                   _guard_skip, _memo, _subgroup_generators)
+from .core import (_UNPROVEN_SKIP, DEFAULT_GUARDS, Guards, RingError,
+                   RingTable, _additive_generators, _biadditive, _guard_skip,
+                   _memo, _row_blocks, _subgroup_generators)
 from .construct import resolve_element
 
 __all__ = [
@@ -120,7 +125,9 @@ def nilpotency_index(R: RingTable, a: int) -> Optional[int]:
 
 @_memo
 def center(R: RingTable) -> np.ndarray:
-    return np.flatnonzero((R.mul == R.mul.T).all(axis=1))
+    return np.flatnonzero(np.concatenate(
+        [(R.mul[rows] == R.mul[:, rows].T).all(axis=1)
+         for rows in _row_blocks(R.order)]))
 
 
 def right_annihilator(R: RingTable, xs) -> np.ndarray:
@@ -185,19 +192,40 @@ def unit_inverse(R: RingTable, x) -> Optional[int]:
 # sweep caches: per-value minima over violating-candidate tuples
 
 
+def _cells(n: int, mask):
+    """Per row block, the codes a*n+b of the cells (a, b) that
+    mask(rows) marks in that block's rows, in lex order."""
+    for rows in _row_blocks(n):
+        yield np.flatnonzero(mask(rows)) + rows.start * n
+
+
+def _pairs(n: int, mask) -> np.ndarray:
+    """The cells (a, b) that mask marks (see _cells) in lex order, as
+    int32 rows, which hold any index.  A code built back from them must
+    be int64 (_codes): a*n+b passes int32 from order 46341 on."""
+    codes = np.concatenate(list(_cells(n, mask)))
+    out = np.empty((len(codes), 2), dtype=np.int32)
+    np.divmod(codes, n, out=(out[:, 0], out[:, 1]))
+    return out
+
+
+def _codes(pairs: np.ndarray, n: int) -> np.ndarray:
+    """The int64 codes a*n+b of the (a, b) rows of pairs."""
+    return pairs[:, 0] * np.int64(n) + pairs[:, 1]
+
+
 @_memo
 def _zero_pairs(R: RingTable) -> np.ndarray:
-    return np.argwhere(R.mul == R.zero).astype(np.int64)  # lex (a, b)
+    """The pairs (a, b) with a*b = 0, in lex order."""
+    return _pairs(R.order, lambda rows: R.mul[rows] == R.zero)
 
 
 @_memo
 def _rev_min(R: RingTable) -> np.ndarray:
     """m[v] = least code a*n+b over zero pairs (a,b) with b*a = v."""
     zp = _zero_pairs(R)
-    n = R.order
-    m = np.full(n, _SENTINEL, dtype=np.int64)
-    A, B = zp[:, 0], zp[:, 1]
-    np.minimum.at(m, R.mul[B, A], A * n + B)
+    m = np.full(R.order, _SENTINEL, dtype=np.int64)
+    np.minimum.at(m, R.mul[zp[:, 1], zp[:, 0]], _codes(zp, R.order))
     return m
 
 
@@ -208,7 +236,8 @@ def _ann_generators(R: RingTable) -> tuple:
     share one greedy set; the slots past a set's width hold zero."""
     rows = {}       # packed annihilator -> index of its greedy set
     cls = np.array([rows.setdefault(row.tobytes(), len(rows))
-                    for row in np.packbits(R.mul == R.zero, axis=1)],
+                    for block in _row_blocks(R.order)
+                    for row in np.packbits(R.mul[block] == R.zero, axis=1)],
                    dtype=R.mul.dtype)
     sets = [_subgroup_generators(R, np.unpackbits(
                 np.frombuffer(row, dtype=np.uint8), count=R.order))
@@ -223,7 +252,7 @@ def _ann_generators(R: RingTable) -> tuple:
 @_memo
 def _symm_gen_min(R: RingTable) -> np.ndarray:
     """m[v] = least code a*n+b over pairs (a, b) and generators g of
-    r.ann(a*b) with (a*g)*b = v.  Each chunk's pairs are sorted by
+    r.ann(a*b) with (a*g)*b = v.  Each block's pairs are sorted by
     their generator count, most first, so slot j reads only the prefix
     of pairs whose annihilator has more than j generators."""
     n = R.order
@@ -233,18 +262,16 @@ def _symm_gen_min(R: RingTable) -> np.ndarray:
     # a stable sort of uint8 keys is a radix sort
     fewer = (d - width).astype(np.uint8)
     m = np.full(n, _SENTINEL, dtype=np.int64)
-    # a sorted pair holds about 30 bytes (its code, class, a, b and the
-    # gathers' index copies), so a chunk is 1/32 of _CHUNK_CELLS pairs
-    step = min(n, max(1, (_CHUNK_CELLS >> 5) // n))
-    cols = np.tile(np.arange(n, dtype=mul.dtype), step)
-    for a0 in range(0, n, step):
-        rows = mul[a0:a0 + step]
-        key = fewer[cls[rows]].ravel()
+    # a sorted pair holds about 40 bytes (its code, a, b, class and
+    # the gathers), so a block is 1/32 of _CHUNK_CELLS pairs
+    for rows in _row_blocks(n, 32 * n):
+        block = mul[rows]
+        key = fewer[cls[block]].ravel()
         codes = np.argsort(key, kind="stable")
         live = np.searchsorted(key[codes], d - np.arange(d))
-        k = cls[rows.ravel()[codes]]
-        b = cols[codes]
-        codes += a0 * n
+        k = cls[block.ravel()[codes]]
+        b = (codes % n).astype(mul.dtype)
+        codes += rows.start * n
         a = (codes // n).astype(mul.dtype)
         for j, c in enumerate(live):
             np.minimum.at(m, mul[mul[a[:c], gens[k[:c], j]], b[:c]],
@@ -257,10 +284,9 @@ def _scomm_gen_min(R: RingTable) -> np.ndarray:
     """m[v] = least code a*n+b over zero pairs (a, b) and additive
     generators g of R with (a*g)*b = v."""
     zp = _zero_pairs(R)
-    n = R.order
     A, B = zp[:, 0], zp[:, 1]
-    codes = A * n + B
-    m = np.full(n, _SENTINEL, dtype=np.int64)
+    codes = _codes(zp, R.order)
+    m = np.full(R.order, _SENTINEL, dtype=np.int64)
     for g in _additive_generators(R):
         np.minimum.at(m, R.mul[R.mul[A, g], B], codes)
     return m
@@ -271,7 +297,7 @@ def _rel(R: RingTable) -> np.ndarray:
     """The pairs (a, b) with a*R*b = 0, in lex order: on a _biadditive
     table, those with (a*g)*b = 0 for every additive generator g of R."""
     # (a*1)*b = 0 is necessary, so rel is drawn from those pairs
-    rel = np.argwhere(R.mul[R.mul[:, R.one]] == R.zero)
+    rel = _pairs(R.order, lambda rows: R.mul[R.mul[rows, R.one]] == R.zero)
     for g in _additive_generators(R):
         rel = rel[R.mul[R.mul[rel[:, 0], g], rel[:, 1]] == R.zero]
     return rel
@@ -408,9 +434,8 @@ def _first_unreflected(R, pairs):
     not 0, with the least r making b*r*a nonzero; None if there is none."""
     if len(pairs) == 0:
         return None
-    rel = _rel(R)
-    codes = rel[:, 0] * np.int64(R.order) + rel[:, 1]
-    back = pairs[:, 1] * np.int64(R.order) + pairs[:, 0]
+    codes = _codes(_rel(R), R.order)
+    back = _codes(pairs[:, ::-1], R.order)
     pos = np.searchsorted(codes, back)
     pos[pos >= len(codes)] = len(codes) - 1
     bad = np.flatnonzero(codes[pos] != back)
@@ -489,32 +514,28 @@ def _chk_abelian(R, e):
 
 
 def _chk_directly_finite(R, e):
-    rows = np.flatnonzero((R.mul == R.one).any(axis=1))
-    op = np.argwhere(R.mul[rows] == R.one)      # lex order: rows is sorted
-    op[:, 0] = rows[op[:, 0]]
-    bad = np.flatnonzero(R.mul[op[:, 1], op[:, 0]] != R.one)
-    if len(bad) == 0:
-        return None, None
-    a, b = (int(v) for v in op[bad[0]])
-    return (a, b), ("%s*%s = 1 but %s*%s = %s"
-                    % (R.labels[a], R.labels[b], R.labels[b], R.labels[a],
-                       R.labels[int(R.mul[b, a])]))
+    # the pairs with a*b = 1 block by block, in lex order
+    for codes in _cells(R.order, lambda rows: R.mul[rows] == R.one):
+        A, B = np.divmod(codes, R.order)
+        bad = np.flatnonzero(R.mul[B, A] != R.one)
+        if len(bad):
+            a, b = int(A[bad[0]]), int(B[bad[0]])
+            return (a, b), ("%s*%s = 1 but %s*%s = %s"
+                            % (R.labels[a], R.labels[b], R.labels[b],
+                               R.labels[a], R.labels[int(R.mul[b, a])]))
+    return None, None
 
 
 def _chk_von_neumann_regular(R, e):
-    # (a*x)*a in blocks of 1, 2, 4, ... rows, capped at _CHUNK_CELLS
-    # cells: a witness near the front costs few cells
-    n = R.order
-    a0, rows = 0, 1
-    while a0 < n:
-        a = np.arange(a0, min(n, a0 + rows))[:, None]
-        regular = (R.mul[R.mul[a0:a0 + rows], a] == a).any(axis=1)
+    # (a*x)*a in growing row blocks: a witness near the front costs few
+    # cells
+    for rows in _row_blocks(R.order, grow=True):
+        a = np.arange(rows.start, rows.stop)[:, None]
+        regular = (R.mul[R.mul[rows], a] == a).any(axis=1)
         if not regular.all():
-            a = a0 + int(np.argmin(regular))        # the first False
+            a = rows.start + int(np.argmin(regular))    # the first False
             return (a,), "no x satisfies %s*x*%s = %s" % (
                 R.labels[a], R.labels[a], R.labels[a])
-        a0 += rows
-        rows = min(2 * rows, max(1, _CHUNK_CELLS // n))
     return None, None
 
 

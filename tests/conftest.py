@@ -16,6 +16,11 @@ SMALL_RINGS = (
     "prod(Z(2),Z(3))", "twist(Z(2),hom[#0,#1])",
 )
 
+# core._CHUNK_CELLS values for the blocked kernels: one row per block;
+# 48 // n rows (3 on order 16, 6 on order 8; a growing scan reads 1, 2,
+# 4, then that many); the default, one block on every small ring
+CHUNKS = (1, 48, 1 << 22)
+
 
 @pytest.fixture(scope="session")
 def rings():

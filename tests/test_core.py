@@ -1,5 +1,8 @@
 """Table assembly and axiom checking."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +15,7 @@ from finring import (
 from finring import core, predicates
 from finring.core import table_dtype
 
-from conftest import SMALL_RINGS
+from conftest import CHUNKS, SMALL_RINGS
 from test_dsl import SAMPLES
 
 
@@ -62,6 +65,71 @@ def test_build_ring_rejects_broken_group():
     bad[1, 3] = 1          # row 1 loses its inverse
     with pytest.raises(RingError, match="unique inverse"):
         build_ring(bad, mul, 0, 1, labels)
+
+
+def naive_negation(add, zero):
+    """neg[a] = the one b with a+b = zero, or None when some row has no
+    such b or more than one."""
+    neg = []
+    for row in np.asarray(add).tolist():
+        hits = [b for b, v in enumerate(row) if v == zero]
+        if len(hits) != 1:
+            return None
+        neg.append(hits[0])
+    return neg
+
+
+def assert_negation_matches_naive(add, zero, cells):
+    """build_ring in blocks of cells cells derives naive_negation's neg,
+    or refuses the table exactly when naive_negation finds none."""
+    n = len(add)
+    want = naive_negation(add, zero)
+    with mock.patch.object(core, "_CHUNK_CELLS", cells):
+        if want is None:
+            with pytest.raises(RingError, match="lacks a unique inverse"):
+                build_ring(add, add, zero, (zero + 1) % n, range(n))
+        else:
+            R = build_ring(add, add, zero, (zero + 1) % n, range(n))
+            assert R.neg.dtype == R.add.dtype
+            assert R.neg.tolist() == want
+
+
+# Z(16) renamed so that index k is the residue k - 5: the zero is index
+# 5, so the first and the last row can lose their inverse
+Z16 = (np.add.outer(np.arange(16), np.arange(16)) - 5) % 16
+
+
+def broken_inverse(row, kind):
+    """Z16 with row's inverse removed ("none") or doubled ("two"),
+    keeping the zero row and column."""
+    add = Z16.copy()
+    inv = int(np.flatnonzero(add[row] == 5)[0])
+    if kind == "none":
+        add[row, inv] = add[row, inv ^ 1]
+    else:
+        add[row, [c for c in range(16) if c not in (5, inv)][0]] = 5
+    return add
+
+
+@pytest.mark.parametrize("cells", CHUNKS)
+def test_negation_matches_naive_in_every_block_size(rings, cells):
+    assert_negation_matches_naive(Z16, 5, cells)
+    for text in SMALL_RINGS:
+        R = rings[text]
+        assert_negation_matches_naive(R.add, R.zero, cells)
+
+
+# rows 0 (the first block), 9 (a later one at 48 cells, 3 rows a block)
+# and 15 (the last)
+@pytest.mark.parametrize("row", [0, 9, 15])
+@pytest.mark.parametrize("kind", ["none", "two"])
+@pytest.mark.parametrize("cells", CHUNKS)
+def test_negation_refuses_a_broken_row_in_every_block(row, kind, cells):
+    add = broken_inverse(row, kind)
+    assert naive_negation(add, 5) is None
+    assert np.array_equal(add[5], np.arange(16))
+    assert np.array_equal(add[:, 5], np.arange(16))
+    assert_negation_matches_naive(add, 5, cells)
 
 
 def test_build_ring_rejects_bad_labels():
@@ -154,6 +222,13 @@ def _mutate_mul(R, data):
     return mul
 
 
+def naive_noncommuting(R):
+    """The least (a, b) with a+b != b+a, or None."""
+    n, add = R.order, R.add.tolist()
+    return next(((a, b) for a in range(n) for b in range(n)
+                 if add[a][b] != add[b][a]), None)
+
+
 def _magma_closure(add, start):
     reached = set(start)
     while True:
@@ -216,8 +291,9 @@ def test_memo_keys_miss_the_construction_keys():
                 for f in vars(mod).values() if hasattr(f, "__wrapped__")}
     assert memoized == {
         "_additive_generators", "_proven_on_generators", "_biadditive",
-        "idempotents", "_nil_index", "center", "minimal_left_idempotents",
-        "_zero_pairs", "_rev_min", "_symm_gen_min", "_scomm_gen_min", "_rel"}
+        "_add_noncommuting", "idempotents", "_nil_index", "center",
+        "minimal_left_idempotents", "_zero_pairs", "_rev_min",
+        "_symm_gen_min", "_scomm_gen_min", "_rel"}
     for text in ("H(Z(2),1,1)", "twist(Z(2),hom[#0,#1])", "quot(Z(12),4)"):
         R = build_expr(text)
         kept = {k: v for k, v in R._cache.items() if k in CONSTRUCTION_KEYS}
@@ -275,12 +351,35 @@ def test_fast_route_agrees_with_exhaustive_scan_on_broken_tables(
     add = _mutate_add(R, data) if which != "mul" else R.add
     mul = _mutate_mul(R, data) if which != "add" else R.mul
     B = build_ring(add, mul, R.zero, R.one, R.labels)
-    report = verify_axioms(B)
+    with mock.patch.object(core, "_CHUNK_CELLS",
+                           data.draw(st.sampled_from(CHUNKS))):
+        report = verify_axioms(B)
     assert report == core._exhaustive_report(B)
+    assert core._add_noncommuting(B) == naive_noncommuting(B)
     assert _magma_closure(B.add, core._additive_generators(B) + [B.zero]) \
         == set(range(B.order))
     if which != "mul" and not np.array_equal(add, R.add):
         assert "add_associative" in [name for name, _ in report.violations]
+
+
+def test_exhaustive_scan_holds_no_square_temporary():
+    # an order-1024 table with one product changed, whose least
+    # witnesses lie in row 1: with 8-row blocks each scan reads part of
+    # a row at a time, under the n^2 bytes of one n x n bool mask
+    R = build_expr("prod(M(3,Z(2)),Z(2))")
+    mul = R.mul.copy()
+    mul[1, 1] = R.one if mul[1, 1] == R.zero else R.zero
+    B = build_ring(R.add, mul, R.zero, R.one, R.labels)
+    with mock.patch.object(core, "_CHUNK_CELLS", 8 * B.order):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            report = verify_axioms(B)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    assert [w[0] for _, w in report.violations] == [1, 1, 1]
+    assert peak < B.order ** 2
 
 
 @pytest.mark.parametrize("text", ["M(2,Z(3))", "U(3,Z(2))"])

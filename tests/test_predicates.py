@@ -18,7 +18,7 @@ from finring import (
 from finring import build_ring, core, predicates
 
 import oracle
-from conftest import SMALL_RINGS
+from conftest import CHUNKS, SMALL_RINGS
 from test_dsl import SAMPLES
 
 
@@ -630,17 +630,14 @@ def test_symm_kernel_matches_the_padded_one_on_every_constructor(text,
     # _CHUNK_CELLS 1 sorts one row at a time, 1 << 11 a few rows (64
     # pairs), and the default sorts every sample's table at once
     R = build_expr(text)
-    with mock.patch.object(predicates, "_CHUNK_CELLS", cells):
+    with mock.patch.object(core, "_CHUNK_CELLS", cells):
         assert (fresh_symm_gen_min(R).tolist()
                 == padded_symm_gen_min(R).tolist())
 
 
 # ---------------------------------------------------------------------------
-# the pair checkers that stop at the first witness
-
-# _CHUNK_CELLS values: one row per block; blocks of 1, 2, 4, then capped
-# at 48 // n rows (3 on order 16, 6 on order 8); the default
-CHUNKS = (1, 48, 1 << 22)
+# the blocked pair kernels, and the pair checkers that stop at the first
+# witness
 
 
 def naive_regular_witness(R):
@@ -657,15 +654,28 @@ def naive_finite_witness(R):
                  if mul[a][b] == one and mul[b][a] != one), None)
 
 
-def assert_pair_checkers_match_naive(R, cells):
-    with mock.patch.object(predicates, "_CHUNK_CELLS", cells):
-        regular = check_property(R, "von_neumann_regular")
+def assert_zero_pairs_match_argwhere(R, cells):
+    with mock.patch.object(core, "_CHUNK_CELLS", cells):
+        zp = predicates._zero_pairs.__wrapped__(R)
+    assert zp.dtype == np.int32
+    assert zp.tolist() == np.argwhere(R.mul == R.zero).tolist()
+
+
+def assert_finite_witness_matches_naive(R, cells):
+    with mock.patch.object(core, "_CHUNK_CELLS", cells):
         finite = check_property(R, "directly_finite")
-    assert regular.witness == naive_regular_witness(R)
     assert finite.witness == naive_finite_witness(R)
+    assert (finite.status == "holds") == oracle.naive_directly_finite(R)
+
+
+def assert_pair_checkers_match_naive(R, cells):
+    with mock.patch.object(core, "_CHUNK_CELLS", cells):
+        regular = check_property(R, "von_neumann_regular")
+    assert regular.witness == naive_regular_witness(R)
     assert ((regular.status == "holds")
             == oracle.naive_von_neumann_regular(R))
-    assert (finite.status == "holds") == oracle.naive_directly_finite(R)
+    assert_finite_witness_matches_naive(R, cells)
+    assert_zero_pairs_match_argwhere(R, cells)
 
 
 @pytest.mark.parametrize("text", SMALL_RINGS)
@@ -713,7 +723,7 @@ def test_regular_witness_in_the_last_row():
     R = build_expr("Z(7)")
     S = broken_ring(R, [(6, x, R.zero) for x in range(7)])
     for cells in (1, 21, 1 << 22):       # blocks 1, 2, 3, 1 at 21 cells
-        with mock.patch.object(predicates, "_CHUNK_CELLS", cells):
+        with mock.patch.object(core, "_CHUNK_CELLS", cells):
             v = check_property(S, "von_neumann_regular")
         assert v.witness == (6,)
         assert v.detail == "no x satisfies 6*x*6 = 6"
@@ -727,6 +737,20 @@ def test_regular_witness_is_the_least_of_a_later_block():
     assert naive_regular_witness(S) == (5,)
     for cells in (28, 1 << 22):
         assert_pair_checkers_match_naive(S, cells)
+
+
+# Z(7) with one changed cell a*b = 1 where b*a != 1, in the first row,
+# a middle one and the last
+FINITE_BREAKS = ((0, 3), (2, 6), (6, 2))
+
+
+@pytest.mark.parametrize("a, b", FINITE_BREAKS)
+@pytest.mark.parametrize("cells", CHUNKS)
+def test_directly_finite_witness_in_every_row_block(a, b, cells):
+    R = build_expr("Z(7)")
+    S = broken_ring(R, [(a, b, R.one)])
+    assert naive_finite_witness(S) == (a, b)
+    assert_pair_checkers_match_naive(S, cells)
 
 
 def test_directly_finite_reads_every_one_of_a_row():
@@ -746,7 +770,7 @@ def test_regular_scan_holds_no_square_temporary():
     # intp index copy is 8), under the n^2 bytes of one n x n bool mask
     R = build_expr("M(3,Z(2))")
     cells = 8 * R.order
-    with mock.patch.object(predicates, "_CHUNK_CELLS", cells):
+    with mock.patch.object(core, "_CHUNK_CELLS", cells):
         tracemalloc.start()
         try:
             w, _ = predicates._chk_von_neumann_regular(R, None)
@@ -755,3 +779,81 @@ def test_regular_scan_holds_no_square_temporary():
             tracemalloc.stop()
     assert w is None
     assert peak < 32 * cells < R.order ** 2
+
+
+def test_pair_codes_are_int64_past_order_46340():
+    # the zero pair (n-1, 1) of a stand-in of order 50000 whose zero mul
+    # table costs nothing: its code (n-1)*n + 1 passes int32, so the
+    # minima must build it in int64 from the int32 pair
+    n = 50000
+    R = core.RingTable(order=n, add=None, neg=None, zero=0, one=1,
+                       labels=(), provenance="stand-in",
+                       mul=np.broadcast_to(np.zeros(n, np.int32), (n, n)))
+    R._cache["_zero_pairs"] = np.array([[n - 1, 1]], dtype=np.int32)
+    R._cache["_additive_generators"] = [1]
+    for minima in (predicates._rev_min, predicates._scomm_gen_min):
+        m = minima.__wrapped__(R)
+        assert m.dtype == np.int64
+        assert int(m[0]) == (n - 1) * n + 1
+
+
+def naive_rel(R):
+    """The pairs (a, b) with a*r*b = 0 for every r, in lex order."""
+    n, mul = R.order, R.mul.tolist()
+    return [[a, b] for a in range(n) for b in range(n)
+            if all(mul[mul[a][r]][b] == R.zero for r in range(n))]
+
+
+@pytest.mark.parametrize("cells", CHUNKS)
+def test_center_and_rel_match_naive_in_every_block_size(rings, cells):
+    for text in SMALL_RINGS:
+        R = rings[text]
+        with mock.patch.object(core, "_CHUNK_CELLS", cells):
+            cen = predicates.center.__wrapped__(R)
+            rel = predicates._rel.__wrapped__(R)
+        assert cen.tolist() == oracle.naive_center(R), text
+        assert rel.tolist() == naive_rel(R), text
+
+
+@pytest.mark.parametrize("text", sorted(SAMPLES.values()))
+def test_blocked_kernels_do_not_depend_on_the_block_size(text):
+    R = build_expr(text)
+
+    def kernels():
+        gens, width, cls = predicates._ann_generators(R)
+        return ([f.__wrapped__(R).tolist() for f in (
+                    predicates.center, predicates._zero_pairs,
+                    predicates._rel, predicates._rev_min,
+                    predicates._scomm_gen_min)]
+                + [gens.tolist(), width.tolist(), cls.tolist(),
+                   core._proven_on_generators.__wrapped__(R),
+                   core._add_noncommuting.__wrapped__(R)])
+    whole = kernels()
+    for cells in CHUNKS[:2]:
+        with mock.patch.object(core, "_CHUNK_CELLS", cells):
+            assert kernels() == whole, cells
+
+
+def test_survey_and_describe_hold_no_square_temporary():
+    # everything cli's survey and describe compute on an order-1024
+    # ring past its table fill, rendering aside, with 8-row blocks: the
+    # caches, verdicts and blocks stay under the n^2 bytes of one n x n
+    # bool mask
+    T = build_expr("prod(M(3,Z(2)),Z(2))")
+    with mock.patch.object(core, "_CHUNK_CELLS", 8 * T.order):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            R = build_ring(T.add, T.mul, T.zero, T.one, T.labels)
+            assert core.verify_axioms(R).passed
+            verdicts = survey(R)
+            predicates.center(R)
+            nilpotents(R)
+            for f in idempotents(R):
+                is_left_semicentral(R, int(f))
+                is_right_semicentral(R, int(f))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    assert all(v.status != "skipped" for v in verdicts)
+    assert peak < R.order ** 2
