@@ -16,7 +16,7 @@ each is a table itself (see core._CHUNK_CELLS).
 
 The triple families are decided on additive generators.  On a ring
 that passes core._biadditive ((R,+) abelian, + associative and both
-distributive laws proven on generators; the product need not be
+distributive laws proven along the coset tree; the product need not be
 associative) both sides of each conclusion are additive in the
 quantified variable, and s(v) = v, v*e or e*v is additive in v:
 
@@ -125,9 +125,16 @@ def nilpotency_index(R: RingTable, a: int) -> Optional[int]:
 
 @_memo
 def center(R: RingTable) -> np.ndarray:
-    return np.flatnonzero(np.concatenate(
-        [(R.mul[rows] == R.mul[:, rows].T).all(axis=1)
-         for rows in _row_blocks(R.order)]))
+    """The elements that commute with every element.  A row block reads
+    only the columns from its first row on: a mismatch a*b != b*a marks
+    both a and b, and the block of min(a, b) reads it."""
+    bad = np.zeros(R.order, dtype=bool)
+    for rows in _row_blocks(R.order):
+        r0 = rows.start
+        neq = R.mul[rows, r0:] != R.mul[r0:, rows].T
+        bad[rows] |= neq.any(axis=1)
+        bad[r0:] |= neq.any(axis=0)
+    return np.flatnonzero(~bad)
 
 
 def right_annihilator(R: RingTable, xs) -> np.ndarray:
@@ -240,7 +247,7 @@ def _ann_generators(R: RingTable) -> tuple:
                     for row in np.packbits(R.mul[block] == R.zero, axis=1)],
                    dtype=R.mul.dtype)
     sets = [_subgroup_generators(R, np.unpackbits(
-                np.frombuffer(row, dtype=np.uint8), count=R.order))
+                np.frombuffer(row, dtype=np.uint8), count=R.order)).gens
             for row in rows]
     width = np.array([len(g) for g in sets])
     gens = np.full((len(sets), width.max()), R.zero, dtype=R.mul.dtype)
@@ -287,7 +294,7 @@ def _scomm_gen_min(R: RingTable) -> np.ndarray:
     A, B = zp[:, 0], zp[:, 1]
     codes = _codes(zp, R.order)
     m = np.full(R.order, _SENTINEL, dtype=np.int64)
-    for g in _additive_generators(R):
+    for g in _additive_generators(R).gens:
         np.minimum.at(m, R.mul[R.mul[A, g], B], codes)
     return m
 
@@ -298,7 +305,7 @@ def _rel(R: RingTable) -> np.ndarray:
     table, those with (a*g)*b = 0 for every additive generator g of R."""
     # (a*1)*b = 0 is necessary, so rel is drawn from those pairs
     rel = _pairs(R.order, lambda rows: R.mul[R.mul[rows, R.one]] == R.zero)
-    for g in _additive_generators(R):
+    for g in _additive_generators(R).gens:
         rel = rel[R.mul[R.mul[rel[:, 0], g], rel[:, 1]] == R.zero]
     return rel
 

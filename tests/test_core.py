@@ -1,5 +1,6 @@
 """Table assembly and axiom checking."""
 
+import itertools
 import tracemalloc
 from unittest import mock
 
@@ -17,6 +18,7 @@ from finring.core import table_dtype
 
 from conftest import CHUNKS, SMALL_RINGS
 from test_dsl import SAMPLES
+from test_predicates import bilinear_table, nonassociative_table
 
 
 def _z4_tables():
@@ -264,7 +266,7 @@ def test_coset_walk_matches_the_magma_closure_loop(whole_corpus):
         build_expr(text) for text in SAMPLES.values()]
     assert len(rings) >= 50
     for R in rings:
-        assert core._additive_generators(R) == naive_greedy_generators(R), \
+        assert core._additive_generators(R).gens == naive_greedy_generators(R), \
             R.provenance
 
 
@@ -290,7 +292,7 @@ def test_memo_keys_miss_the_construction_keys():
     memoized = {f.__name__ for mod in (core, predicates)
                 for f in vars(mod).values() if hasattr(f, "__wrapped__")}
     assert memoized == {
-        "_additive_generators", "_proven_on_generators", "_biadditive",
+        "_additive_generators", "_proven_on_tree", "_biadditive",
         "_add_noncommuting", "idempotents", "_nil_index", "center",
         "minimal_left_idempotents", "_zero_pairs", "_rev_min",
         "_symm_gen_min", "_scomm_gen_min", "_rel"}
@@ -311,7 +313,7 @@ def test_memo_keys_miss_the_construction_keys():
 ])
 def test_additive_generators_are_a_least_generating_set(text, d):
     R = build_expr(text)
-    gens = core._additive_generators(R)
+    gens = core._additive_generators(R).gens
     assert len(gens) == d
     assert _magma_closure(R.add, gens + [R.zero]) == set(range(R.order))
 
@@ -334,7 +336,7 @@ def test_fast_route_checks_every_generator(mul, axiom):
     n = len(mul)
     add = np.bitwise_xor.outer(np.arange(n), np.arange(n))
     R = build_ring(add, mul, 0, 1, [str(i) for i in range(n)])
-    assert core._additive_generators(R) == [1 << k for k in
+    assert core._additive_generators(R).gens == [1 << k for k in
                                             range(n.bit_length() - 1)]
     report = verify_axioms(R)
     assert report == core._exhaustive_report(R)
@@ -354,12 +356,194 @@ def test_fast_route_agrees_with_exhaustive_scan_on_broken_tables(
     with mock.patch.object(core, "_CHUNK_CELLS",
                            data.draw(st.sampled_from(CHUNKS))):
         report = verify_axioms(B)
+    # the tree proof ran in that block size, inside verify_axioms
+    assert core._proven_on_tree(B) == proven_on_generators(B)
     assert report == core._exhaustive_report(B)
     assert core._add_noncommuting(B) == naive_noncommuting(B)
-    assert _magma_closure(B.add, core._additive_generators(B) + [B.zero]) \
+    assert _magma_closure(B.add, core._additive_generators(B).gens + [B.zero]) \
         == set(range(B.order))
     if which != "mul" and not np.array_equal(add, R.add):
         assert "add_associative" in [name for name, _ in report.violations]
+
+
+def proven_on_generators(R):
+    """The O(n^2 d) route that core._proven_on_tree replaced, kept as
+    its reference: the triple axioms that hold, shown on the walk's
+    generators G, which with zero generate R as a magma on any table
+    build_ring accepts.
+    - + is associative iff (x+g)+y == x+(g+y) for g in G (Light's
+      associativity test; Clifford & Preston, The Algebraic Theory of
+      Semigroups I, 1961): the g that pass, zero among them, are closed
+      under +;
+    - once + is associative, a map is additive iff phi(x+g) ==
+      phi(x)+phi(g) for g in G;
+    - once both distributive laws hold, G^3 decides associativity."""
+    add, mul = R.add, R.mul
+    gens = core._additive_generators(R).gens
+
+    def holds(lhs, rhs):
+        return all(np.array_equal(lhs(g), rhs(g)) for g in gens)
+
+    if not holds(lambda g: add[add[:, g]],                 # (x+g)+y
+                 lambda g: add[:, add[g]]):                # x+(g+y)
+        return frozenset()
+    proven = {"add_associative"}
+    if holds(lambda g: mul[:, add[:, g]],                  # x*(y+g)
+             lambda g: add[mul, mul[:, g, None]]):
+        proven.add("left_distributive")
+    if holds(lambda g: mul[add[:, g]],                     # (x+g)*y
+             lambda g: add[mul, mul[g]]):
+        proven.add("right_distributive")
+    if {"left_distributive", "right_distributive"} <= proven:
+        G = np.array(gens)
+        gg = mul[np.ix_(G, G)]
+        if np.array_equal(mul[gg[:, :, None], G], mul[G[:, None, None], gg]):
+            proven.add("mul_associative")
+    return frozenset(proven)
+
+
+def assert_tree_proof_matches_the_reference(R, *chunks):
+    """The coset-tree proof, run afresh in blocks of each of chunks
+    cells, proves exactly the axioms proven_on_generators proves."""
+    B = build_ring(R.add, R.mul, R.zero, R.one, R.labels, R.provenance)
+    want = proven_on_generators(B)
+    for cells in chunks:
+        with mock.patch.object(core, "_CHUNK_CELLS", cells):
+            assert core._proven_on_tree(B) == want, (R.provenance, cells)
+        B._cache.pop("_proven_on_tree", None)
+
+
+AXIOMS = {"add_associative", "left_distributive", "right_distributive",
+          "mul_associative"}
+
+
+def test_tree_proof_matches_the_generator_route_on_rings(corpus):
+    rings = [e.ring for e in corpus.rings()
+             if e.ring.order <= core.DEFAULT_GUARDS.triple_cap] + [
+        build_expr(text) for text in SAMPLES.values()]
+    assert len(rings) >= 50
+    for R in rings:
+        assert_tree_proof_matches_the_reference(R, core._CHUNK_CELLS)
+        assert core._proven_on_tree(R) == AXIOMS, R.provenance
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]), st.data())
+def test_tree_proof_matches_the_generator_route_on_biadditive_tables(
+        pd, data):
+    # a product that distributes but need not associate
+    p, d = pd
+    consts = np.array(data.draw(st.lists(st.integers(0, p - 1),
+                                         min_size=d ** 3, max_size=d ** 3)))
+    S = bilinear_table(p, d, consts.reshape(d, d, d), 1)
+    assert_tree_proof_matches_the_reference(S, *CHUNKS)
+
+
+def test_tree_proof_matches_the_generator_route_on_a_nonassociative_product():
+    S = nonassociative_table()
+    assert proven_on_generators(S) == AXIOMS - {"mul_associative"}
+    assert_tree_proof_matches_the_reference(S, *CHUNKS)
+
+
+def relabeled_z4():
+    """Z(4) with the indices of 1 and 2 swapped: the walk takes g_1 = 2
+    (index 1), then g_2 = 1 (index 2), whose chain 0, 1 stops at 2 in
+    <g_1>, so m_2 = 2 and z_2 = 2 is not zero."""
+    elem = np.array([0, 2, 1, 3])           # index -> residue, an involution
+    return elem[(elem[:, None] + elem[None, :]) % 4]
+
+
+def z2_z3():
+    """Z(2) x Z(3) with (a, b) at index a + 2*b: the walk takes g_1 = 1,
+    then g_2 = 2 with m_2 = 3."""
+    a, b = np.arange(6) % 2, np.arange(6) // 2
+    return (a[:, None] + a) % 2 + 2 * ((b[:, None] + b) % 3)
+
+
+# (add, mul, what the generator route proves).  Each mul is w*c(x), c
+# the coordinate along the last generator and w an element whose order
+# does not divide m_2: x -> x*y satisfies every step of the tree, yet
+# m_2*w != w*c(z_2), so only the relation check refutes right
+# distributivity.  The transposes do the same for left distributivity
+RELATION_BREAKS = [
+    (relabeled_z4(), np.repeat([0, 0, 2, 2], 4).reshape(4, 4),
+     {"add_associative"}),
+    (z2_z3(), np.repeat([0, 0, 1, 1, 0, 0], 6).reshape(6, 6),
+     {"add_associative"}),
+]
+RELATION_BREAKS += [(add, mul.T.copy(), proven)
+                    for add, mul, proven in RELATION_BREAKS]
+
+# a commutative loop with inverses that is not associative, found by a
+# backtracking search over symmetric Latin squares with identity 0
+LOOP6 = np.array([[0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4],
+                  [2, 3, 4, 5, 0, 1], [3, 2, 5, 4, 1, 0],
+                  [4, 5, 0, 1, 3, 2], [5, 4, 1, 0, 2, 3]])
+
+# Z(4) with 1+2 = 2+1 = 1: commutative, one zero per row, and rows 1
+# and 2 are not permutations; its cosets meet, so the walk gives up
+Z4_NOT_A_GROUP = np.array([[0, 1, 2, 3], [1, 2, 1, 0],
+                           [2, 1, 0, 1], [3, 0, 1, 2]])
+
+ODD_TABLES = RELATION_BREAKS + [
+    (LOOP6, np.zeros((6, 6), dtype=int), frozenset()),
+    (LOOP6, LOOP6, frozenset()),
+    (Z4_NOT_A_GROUP, _z4_tables()[1], frozenset()),
+]
+
+
+def odd_ring(add, mul):
+    n = len(add)
+    return build_ring(add, mul, 0, 1, [str(i) for i in range(n)], "odd")
+
+
+@pytest.mark.parametrize("cells", CHUNKS)
+@pytest.mark.parametrize("case", range(len(ODD_TABLES)))
+def test_tree_proof_matches_the_generator_route_on_odd_tables(case, cells):
+    add, mul, proven = ODD_TABLES[case]
+    R = odd_ring(add, mul)
+    assert proven_on_generators(R) == proven
+    assert_tree_proof_matches_the_reference(R, cells)
+    with mock.patch.object(core, "_CHUNK_CELLS", cells):
+        assert verify_axioms(R) == core._exhaustive_report(R)
+
+
+def test_walk_gives_up_where_cosets_meet():
+    # g_1 = 1 reaches 1, 2; g_2 = 3's block add[{0, 1, 2}, {0, 3}]
+    # meets 0 and 1 again
+    R = odd_ring(Z4_NOT_A_GROUP, Z4_NOT_A_GROUP)
+    tree = core._additive_generators(R)
+    assert [b.tolist() for b in tree.blocks] == [[[0, 1, 2]],
+                                                 [[0, 3], [1, 0], [2, 1]]]
+    assert core._tree_arrays(R, tree) is None
+    assert _magma_closure(R.add, tree.gens + [R.zero]) == set(range(4))
+    assert core._proven_on_tree(R) == frozenset()
+
+
+def test_walk_records_parents_generators_and_chain_ends():
+    R = odd_ring(relabeled_z4(), np.zeros((4, 4), dtype=int))
+    tree = core._additive_generators(R)
+    assert tree.gens == [1, 2] and tree.last == [1, 2]
+    assert R.add[2, 2] == 1                          # z_2 = g_1
+    parent, via = core._tree_arrays(R, tree)
+    assert parent.tolist() == [0, 0, 0, 1]           # 3 = 1 + 2
+    assert via.tolist() == [0, 1, 2, 2]
+
+
+def test_tree_proves_nothing_on_a_nonabelian_group():
+    # + is the group S_3, associative but not commutative: the
+    # generator route proves + associative, the tree proves nothing
+    # (its translations do not commute), and the exhaustive scan
+    # decides every axiom with the same report
+    perms = list(itertools.permutations(range(3)))
+    idx = {p: i for i, p in enumerate(perms)}
+    add = np.array([[idx[tuple(p[q[k]] for k in range(3))] for q in perms]
+                    for p in perms])
+    R = odd_ring(add, np.zeros((6, 6), dtype=int))
+    assert core._add_noncommuting(R) is not None
+    assert "add_associative" in proven_on_generators(R)
+    assert core._proven_on_tree(R) == frozenset()
+    assert verify_axioms(R) == core._exhaustive_report(R)
 
 
 def test_exhaustive_scan_holds_no_square_temporary():

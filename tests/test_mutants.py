@@ -11,10 +11,13 @@ import functools
 import numpy as np
 import pytest
 
-from finring import RingError, build_expr, core, predicates
+from finring import RingError, build_expr, build_ring, core, predicates
 
 from conftest import CHUNKS, SMALL_RINGS
-from test_core import Z16, assert_negation_matches_naive, broken_inverse
+from test_core import (ODD_TABLES, Z16, _magma_closure,
+                       assert_negation_matches_naive,
+                       assert_tree_proof_matches_the_reference, broken_inverse,
+                       naive_greedy_generators, odd_ring)
 from test_predicates import (FINITE_BREAKS, assert_zero_pairs_match_argwhere,
                              assert_finite_witness_matches_naive, broken_ring)
 
@@ -54,11 +57,107 @@ def negation_stand_in(blocks=every_block, offset=True):
     return _negation
 
 
-MUTATIONS = {
+def tree_proof_stand_in(blocks=every_block, relations=slice(None),
+                        left=True):
+    """core._proven_on_tree over the row blocks that blocks() keeps,
+    checking the relations of the generators that relations selects;
+    when not left, the left distributive law rests on its relations
+    alone, without the pass along the tree."""
+    def _proven_on_tree(R):
+        n, add, mul = R.order, R.add, R.mul
+        tree = core._additive_generators(R)
+        arrays = core._tree_arrays(R, tree)
+        if arrays is None:
+            return frozenset()
+        P, V = arrays
+        G, L = np.array(tree.gens), np.array(tree.last)
+        Gr, Lr = G[relations], L[relations]
+        Zr = add[Lr, Gr]
+
+        def along_tree(table, rhs):
+            return all((table[rows] == rhs(rows)).all()
+                       for rows in blocks(core._row_blocks(n, 32 * n)))
+
+        T = add[G]
+        TT = T[:, T]
+        if not ((np.sort(T, axis=1) == np.arange(n)).all()
+                and (TT == TT.transpose(1, 0, 2)).all()
+                and along_tree(add, lambda rows: core._sums(
+                    R, V[rows, None], add[P[rows]]))):
+            return frozenset()
+        proven = {"add_associative"}
+        if ((add[mul[Lr], mul[Gr]] == mul[Zr]).all()
+                and along_tree(mul, lambda rows: core._sums(
+                    R, mul[P[rows]], mul[V[rows]]))):
+            proven.add("right_distributive")
+        if ((add[mul[:, Lr], mul[:, Gr]] == mul[:, Zr]).all()
+                and (not left or along_tree(mul, lambda rows: core._sums(
+                    R, mul[rows].take(P, axis=1),
+                    mul[rows].take(V, axis=1))))):
+            proven.add("left_distributive")
+        if {"left_distributive", "right_distributive"} <= proven:
+            gg = mul[G[:, None], G]
+            if (mul[gg[:, :, None], G] == mul[G[:, None, None], gg]).all():
+                proven.add("mul_associative")
+        return frozenset(proven)
+    return _proven_on_tree
+
+
+def walk_stand_in(wrong_parent=False, drop_last=False):
+    """core._subgroup_generators; with wrong_parent the last column of
+    the last block is rolled by one row, so each of its cells sits
+    right of another cell's parent; with drop_last the walk forgets its
+    last generator."""
+    def _subgroup_generators(R, members=None):
+        add = R.add
+        members = (np.ones(R.order, dtype=bool) if members is None
+                   else np.asarray(members, dtype=bool))
+        reached = np.zeros(R.order, dtype=bool)
+        reached[R.zero] = True
+        tree = core._CosetTree([], [], [])
+        while True:
+            left = np.flatnonzero(members > reached)
+            if not left.size:
+                break
+            g = int(left[0])
+            H = np.flatnonzero(reached)
+            chain, z = [R.zero], g
+            while not reached[z]:
+                reached[z] = True
+                chain.append(z)
+                z = int(add[z, g])
+            block = add[H[:, None], chain]
+            reached[block] = True
+            tree.gens.append(g)
+            tree.blocks.append(block)
+            tree.last.append(chain[-1])
+        if wrong_parent:
+            tree.blocks[-1][:, -1] = np.roll(tree.blocks[-1][:, -1], 1)
+        if drop_last:
+            return core._CosetTree(*(field[:-1] for field in tree))
+        return tree
+    return _subgroup_generators
+
+
+BLOCK_MUTATIONS = {
     "unbroken": {},
     "skips the first block": {"blocks": lambda b: list(b)[1:]},
     "drops the last block": {"blocks": lambda b: list(b)[:-1]},
     "forgets the row offset r0": {"offset": False},
+}
+
+TREE_PROOF_MUTATIONS = {
+    "unbroken": {},
+    "skips the first block": {"blocks": lambda b: list(b)[1:]},
+    "drops the last block": {"blocks": lambda b: list(b)[:-1]},
+    "drops the last generator's relation": {"relations": slice(-1)},
+    "skips the left-distributive pass": {"left": False},
+}
+
+WALK_MUTATIONS = {
+    "unbroken": {},
+    "records the wrong parent for the last coset": {"wrong_parent": True},
+    "drops the last generator": {"drop_last": True},
 }
 
 
@@ -84,11 +183,58 @@ def negation_checks(rings):
             for add in tables for c in CHUNKS]
 
 
-# kernel -> (module, name of its loop there, stand-in factory, checks)
+def with_one_product_changed(R, row):
+    """R's tables with row*y changed, for each of the last four y in
+    turn: the left distributive law breaks, and for a y that is not a
+    generator, a chain end or zero, only the tree's check on that row
+    sees it."""
+    for y in range(R.order - 4, R.order):
+        mul = R.mul.copy()
+        mul[row, y] = (mul[row, y] + 1) % R.order
+        yield build_ring(R.add, mul, R.zero, R.one, R.labels, R.provenance)
+
+
+def tree_proof_checks(rings):
+    # the broken rows are checked in one-row blocks, where the first
+    # block holds row 0 and the last row n-1
+    R = rings["M(2,Z(2))"]
+    return ([functools.partial(assert_tree_proof_matches_the_reference,
+                               odd_ring(add, mul), c)
+             for add, mul, _ in ODD_TABLES for c in CHUNKS]
+            + [functools.partial(assert_tree_proof_matches_the_reference,
+                                 B, 1)
+               for row in (0, R.order - 1)
+               for B in with_one_product_changed(R, row)])
+
+
+def assert_walk_matches_the_greedy_loop(R):
+    B = build_ring(R.add, R.mul, R.zero, R.one, R.labels, R.provenance)
+    gens = core._additive_generators(B).gens
+    assert gens == naive_greedy_generators(B)
+    assert _magma_closure(B.add, gens + [B.zero]) == set(range(B.order))
+
+
+def walk_checks(rings):
+    return ([functools.partial(assert_walk_matches_the_greedy_loop, rings[t])
+             for t in SMALL_RINGS]
+            + [functools.partial(assert_tree_proof_matches_the_reference,
+                                 rings[t], core._CHUNK_CELLS)
+               for t in SMALL_RINGS])
+
+
+# kernel -> (module, name of its loop there, stand-in factory, checks,
+# mutations: name -> the stand-in's arguments)
 KERNELS = {
-    "_zero_pairs": (predicates, "_cells", cells_stand_in, zero_pairs_checks),
-    "directly_finite": (predicates, "_cells", cells_stand_in, finite_checks),
-    "build_ring": (core, "_negation", negation_stand_in, negation_checks),
+    "_zero_pairs": (predicates, "_cells", cells_stand_in, zero_pairs_checks,
+                    BLOCK_MUTATIONS),
+    "directly_finite": (predicates, "_cells", cells_stand_in, finite_checks,
+                        BLOCK_MUTATIONS),
+    "build_ring": (core, "_negation", negation_stand_in, negation_checks,
+                   BLOCK_MUTATIONS),
+    "_proven_on_tree": (core, "_proven_on_tree", tree_proof_stand_in,
+                        tree_proof_checks, TREE_PROOF_MUTATIONS),
+    "_subgroup_generators": (core, "_subgroup_generators", walk_stand_in,
+                             walk_checks, WALK_MUTATIONS),
 }
 
 
@@ -104,11 +250,12 @@ def failures(checks):
     return failed
 
 
-@pytest.mark.parametrize("mutation", MUTATIONS)
-@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("kernel, mutation", [
+    pytest.param(k, m, id="%s-%s" % (k, m))
+    for k in KERNELS for m in KERNELS[k][4]])
 def test_every_mutant_is_killed(rings, monkeypatch, kernel, mutation):
-    module, name, stand_in, checks = KERNELS[kernel]
-    monkeypatch.setattr(module, name, stand_in(**MUTATIONS[mutation]))
+    module, name, stand_in, checks, mutations = KERNELS[kernel]
+    monkeypatch.setattr(module, name, stand_in(**mutations[mutation]))
     failed = failures(checks(rings))
     if mutation == "unbroken":
         assert failed == 0

@@ -790,7 +790,7 @@ def test_pair_codes_are_int64_past_order_46340():
                        labels=(), provenance="stand-in",
                        mul=np.broadcast_to(np.zeros(n, np.int32), (n, n)))
     R._cache["_zero_pairs"] = np.array([[n - 1, 1]], dtype=np.int32)
-    R._cache["_additive_generators"] = [1]
+    R._cache["_additive_generators"] = core._CosetTree([1], [], [])
     for minima in (predicates._rev_min, predicates._scomm_gen_min):
         m = minima.__wrapped__(R)
         assert m.dtype == np.int64
@@ -826,7 +826,7 @@ def test_blocked_kernels_do_not_depend_on_the_block_size(text):
                     predicates._rel, predicates._rev_min,
                     predicates._scomm_gen_min)]
                 + [gens.tolist(), width.tolist(), cls.tolist(),
-                   core._proven_on_generators.__wrapped__(R),
+                   core._proven_on_tree.__wrapped__(R),
                    core._add_noncommuting.__wrapped__(R)])
     whole = kernels()
     for cells in CHUNKS[:2]:
