@@ -12,7 +12,9 @@ rows only, and every other row is their sum, row(x) = sum_k
 row(x_k e_k), by right distributivity.  So a product formula must be
 additive in its left argument whenever its input rings are rings; the
 differential test in tests/test_construct.py holds every fill to the
-formula.
+formula.  Both write each table once, with no n^2 temporary; the fill
+works in place, in row blocks, and indexes add's rows by the summand,
+whose few distinct elements keep the rows it reads in cache.
 """
 from __future__ import annotations
 
@@ -95,14 +97,14 @@ def _build_table(space: _CoordSpace, coord_fn, dtype,
 
 
 def _broadcast(tables, dtype) -> np.ndarray:
-    """Componentwise table: tables[k] acts on coordinate k.  Each base
-    table is broadcast over its own pair of mixed-radix axes, one
-    coordinate at a time, in dtype."""
-    out = np.zeros((1, 1), dtype=dtype)
-    for t in tables:
-        s = len(t)
-        out = (out[:, None, :, None] * s
-               + t.astype(dtype)[None, :, None, :]).reshape(len(out) * s, -1)
+    """Componentwise table: tables[k] acts on coordinate k.  Each
+    coordinate, from the last to the first, is prepended to the table of
+    those after it, so the inner loop runs along that table's rows."""
+    out = tables[-1].astype(dtype)
+    for t in tables[-2::-1]:
+        m = len(out)
+        out = (t.astype(dtype)[:, None, :, None] * m
+               + out[:, None, :]).reshape(len(t) * m, -1)
     return out
 
 
@@ -112,21 +114,32 @@ def _fill_rows(space: _CoordSpace, mulfn, add: np.ndarray,
     single-coordinate rows, sum(space.sizes) of them.
 
     Row x is the sum over k of the row of x_k e_k (x_k at coordinate k,
-    zero elsewhere): right distributivity.  The rows are summed one
-    coordinate at a time, one gather in add per coordinate, so the
-    whole table costs about n^2 gathered cells in add's dtype.  The
-    last gather is left whole, one n^2 temporary that is the table
-    itself: filled in row blocks, it would hold one block more beside the
-    table and the rows it sums, and save nothing.
+    zero elsewhere): right distributivity.  Rows 0..m-1 of the table
+    hold the sums over coordinates 0..k-1, and row i plus coordinate
+    k's rows r_j goes to row i*s + j, in row blocks from the last back,
+    so no row is overwritten before it is read.  Each block is one flat
+    take, its intp index 1/32 of _CHUNK_CELLS cells.  It adds r_j + row
+    i, not row i + r_j: the rows r_j hold few distinct elements (64 at
+    order 4096 on M(2,Z(8)) and U(3,Z(4))), so the rows of add they
+    index stay in cache, where row i's would be read at random.  The
+    order is free, as _coord_ring fills only from _biadditive inputs:
+    add is then componentwise over abelian groups, or Z(n).
     """
-    sizes = space.sizes
+    sizes, n = space.sizes, space.order
     rows = _build_table(space, mulfn, add.dtype, np.concatenate(
         [zero + (np.arange(s) - z) * st for s, z, st in
          zip(sizes, space.decompose_scalar(zero), space.strides)]))
-    out, r0 = rows[:sizes[0]], sizes[0]
+    out = np.empty((n, n), dtype=add.dtype)
+    m = r0 = sizes[0]
+    out[:m] = rows[:m]
     for s in sizes[1:]:
-        out = add[out[:, None], rows[None, r0:r0 + s]].reshape(-1, space.order)
+        summand = np.multiply(rows[r0:r0 + s], n, dtype=np.intp)
+        for block in reversed(list(_row_blocks(m, 32 * s * n))):
+            add.ravel().take(summand + out[block, None],
+                             out=out[block.start * s:block.stop * s]
+                             .reshape(-1, s, n))
         r0 += s
+        m *= s
     return out
 
 
@@ -349,8 +362,9 @@ class QuotientLayout:
 
 
 # below this order, proving the input rings costs more than a fill saves
-# over the formula on every cell (measured: the fill wins from order 81
-# on, loses by 50-100 us per build up to 64)
+# over the formula on every cell (measured: the fill wins by 20-150 us
+# per build from order 81 on, loses by up to 180 us at 64 and by
+# 150-550 us at orders 16-48)
 _FILL_MIN_ORDER = 65
 
 

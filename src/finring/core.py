@@ -23,10 +23,9 @@ __all__ = [
 ]
 
 # cells per block of every n^2-cell mask or gather (_row_blocks), which
-# bounds each stage's scratch memory over its tables.  Two n^2
-# temporaries remain, both in construct and both a table itself:
-# _broadcast's output, and _fill_rows's last gather, which a blocked fill
-# would not shrink (it would hold one block more beside the table)
+# bounds each stage's scratch memory over its tables.  construct's
+# _broadcast and _fill_rows write each table once, with no n^2
+# temporary: the fill in place, in row blocks
 _CHUNK_CELLS = 1 << 22
 
 
@@ -417,19 +416,20 @@ def _biadditive(R: RingTable) -> bool:
     """True when (R,+) is an abelian group and R's product distributes
     over + on both sides, so every sum of products of R's elements is
     additive in each of them.  Associativity of the product is not
-    needed."""
-    return bool(_add_noncommuting(R) is None
-                and {"add_associative", "left_distributive",
-                     "right_distributive"} <= _proven_on_tree(R))
+    needed, nor a scan for + commuting: _proven_on_tree proves
+    add_associative only for an abelian group."""
+    return {"add_associative", "left_distributive",
+            "right_distributive"} <= _proven_on_tree(R)
 
 
 def _exhaustive_report(R: RingTable, proven=frozenset()) -> AxiomReport:
-    # the exhaustive route; axioms in `proven` skip their scan
+    # the exhaustive route; axioms in `proven` skip their scan, and so
+    # does + commuting once the tree has proven + an abelian group
     n = R.order
     add, mul = R.add, R.mul
     violations = []
 
-    w = _add_noncommuting(R)
+    w = None if "add_associative" in proven else _add_noncommuting(R)
     if w is not None:
         violations.append(("add_commutative", w))
 

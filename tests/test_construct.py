@@ -1,8 +1,11 @@
 """One test cluster per construction, plus element resolution and the
 table builds held to the constructors' formulas."""
 
+import contextlib
 import hashlib
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,12 +15,13 @@ from finring import (
     Guards, RingError, SizeGuardError, build_expr, build_ring, parse,
     resolve_element, verify_axioms,
 )
-from finring import construct
+from finring import construct, core
 from finring.construct import (
     _CoordSpace, _build_table, corner, dorroh, direct_product, h_ring,
     ideal_closure, is_ideal, matrix_ring, quotient, sub_ring_table, subring,
     trs, twisted_u2, zmod,
 )
+from conftest import CHUNKS
 from iso import find_isomorphism, is_isomorphic, ring_generators
 
 from oracle import mul, naive_center
@@ -440,11 +444,12 @@ def fill_all(monkeypatch):
     monkeypatch.setattr(construct, "_FILL_MIN_ORDER", 0)
 
 
-@pytest.fixture
-def checked_builds(monkeypatch, fill_all):
-    """Hold every _broadcast and _fill_rows made while live to
-    _build_table's formula: every row up to order 1024, 64 seeded rows
-    above.  Returns the (kind, order) of each build checked."""
+@contextlib.contextmanager
+def formula_checked_builds():
+    """While live, fill every gated formula product, whatever its order,
+    and hold every _broadcast and _fill_rows made, as construct has them
+    on entry, to _build_table's formula: every row up to order 1024, 64
+    seeded rows above.  Yields the (kind, order) of each build checked."""
     rng = np.random.default_rng(8)
     seen = []
     broadcast, fill = construct._broadcast, construct._fill_rows
@@ -472,33 +477,78 @@ def checked_builds(monkeypatch, fill_all):
         check("fill", out, space, mulfn, add.dtype)
         return out
 
-    monkeypatch.setattr(construct, "_broadcast", checked_broadcast)
-    monkeypatch.setattr(construct, "_fill_rows", checked_fill)
-    return seen
+    with mock.patch.object(construct, "_FILL_MIN_ORDER", 0), \
+            mock.patch.object(construct, "_broadcast", checked_broadcast), \
+            mock.patch.object(construct, "_fill_rows", checked_fill):
+        yield seen
+
+
+def assert_builds_match_the_formula(text, cells):
+    """Build text inside formula_checked_builds, in blocks of cells
+    cells: the fill or broadcast of its own order was checked."""
+    with mock.patch.object(core, "_CHUNK_CELLS", cells), \
+            formula_checked_builds() as seen:
+        R = build_expr(text)
+    name = parse(text).name
+    if name not in ("quot", "corner"):
+        kind = "broadcast" if name in ("prod", "trs") else "fill"
+        assert (kind, R.order) in seen
+        assert ("broadcast", R.order) in seen or name == "Z"
 
 
 @pytest.mark.parametrize("text", sorted(
     set(CORPUS_TEXTS) | set(SAMPLES.values()) | {"M(2,Z(8))", "U(3,Z(4))"}))
-def test_built_tables_equal_the_formula_tables(text, checked_builds):
-    R = build_expr(text)
-    name = parse(text).name
-    if name not in ("quot", "corner"):
-        kind = "broadcast" if name in ("prod", "trs") else "fill"
-        assert (kind, R.order) in checked_builds
-        assert ("broadcast", R.order) in checked_builds or name == "Z"
+def test_built_tables_equal_the_formula_tables(text):
+    assert_builds_match_the_formula(text, core._CHUNK_CELLS)
 
 
-def test_fill_on_a_base_whose_zero_is_not_index_0(checked_builds):
-    # Z(3) relabelled so that its zero is index 2 and its one index 0
+# the corpus and sample rings up to order 729, built in row blocks that
+# cross row boundaries: every fill block holds one partial-sum row
+BLOCKED_TEXTS = sorted(t for t in set(CORPUS_TEXTS) | set(SAMPLES.values())
+                       if (construct.expr_order(t) or 0) <= 729)
+
+
+@pytest.mark.parametrize("cells", CHUNKS[:2])
+def test_blocked_builds_equal_the_formula_tables(cells):
+    for text in BLOCKED_TEXTS:
+        assert_builds_match_the_formula(text, cells)
+
+
+def relabelled_z3():
+    """Z(3) relabelled so that its zero is index 2 and its one index 0."""
     Z3 = zmod(3)
     to = np.array([2, 0, 1])
     back = np.argsort(to)
-    B = build_ring(to[Z3.add[np.ix_(back, back)]],
-                   to[Z3.mul[np.ix_(back, back)]], 2, 0,
-                   [Z3.labels[i] for i in back], "relabelled")
-    for R in (matrix_ring("U", 2, B), h_ring(B, 0, 0), dorroh(B, [])):
-        assert R.zero != 0 and ("fill", R.order) in checked_builds
-        assert verify_axioms(R).passed
+    return build_ring(to[Z3.add[np.ix_(back, back)]],
+                      to[Z3.mul[np.ix_(back, back)]], 2, 0,
+                      [Z3.labels[i] for i in back], "relabelled")
+
+
+def test_fill_on_a_base_whose_zero_is_not_index_0():
+    B = relabelled_z3()
+    for cells in CHUNKS:
+        with mock.patch.object(core, "_CHUNK_CELLS", cells), \
+                formula_checked_builds() as seen:
+            for R in (matrix_ring("U", 2, B), h_ring(B, 0, 0),
+                      dorroh(B, [])):
+                assert R.zero != 0 and ("fill", R.order) in seen
+                assert verify_axioms(R).passed
+
+
+def test_a_filled_build_holds_no_square_temporary():
+    # the broadcast of add and the fill of mul at order 1296, in
+    # one-row fill blocks: beside the two tables they return, the build
+    # holds under the n^2 bytes of one n x n bool mask
+    with mock.patch.object(core, "_CHUNK_CELLS", 8 * 1296):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            R = build_expr("M(2,Z(6))")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    assert R.order == 1296 >= construct._FILL_MIN_ORDER
+    assert peak - R.add.nbytes - R.mul.nbytes < R.order ** 2
 
 
 def _broken_z3():

@@ -304,6 +304,9 @@ def test_memo_keys_miss_the_construction_keys():
         survey(R)
         minimal_left_idempotents(R)
         assert set(R._cache) <= memoized | CONSTRUCTION_KEYS
+        # the tree proved + an abelian group, so no scan asked whether
+        # + commutes
+        assert "_add_noncommuting" not in R._cache, text
         for k, v in kept.items():
             assert R._cache[k] is v, (text, k)
 
@@ -359,6 +362,10 @@ def test_fast_route_agrees_with_exhaustive_scan_on_broken_tables(
     # the tree proof ran in that block size, inside verify_axioms
     assert core._proven_on_tree(B) == proven_on_generators(B)
     assert report == core._exhaustive_report(B)
+    # verify_axioms scans + commuting only where the tree proves no
+    # abelian group, and reports the same least witness
+    assert dict(report.violations).get("add_commutative") \
+        == naive_noncommuting(B)
     assert core._add_noncommuting(B) == naive_noncommuting(B)
     assert _magma_closure(B.add, core._additive_generators(B).gens + [B.zero]) \
         == set(range(B.order))

@@ -11,9 +11,12 @@ import functools
 import numpy as np
 import pytest
 
-from finring import RingError, build_expr, build_ring, core, predicates
+from finring import (RingError, build_expr, build_ring, construct, core,
+                     predicates)
 
 from conftest import CHUNKS, SMALL_RINGS
+from test_construct import assert_builds_match_the_formula
+from test_dsl import SAMPLES
 from test_core import (ODD_TABLES, Z16, _magma_closure,
                        assert_negation_matches_naive,
                        assert_tree_proof_matches_the_reference, broken_inverse,
@@ -139,6 +142,51 @@ def walk_stand_in(wrong_parent=False, drop_last=False):
     return _subgroup_generators
 
 
+def fill_stand_in(blocks=every_block, offset=True, coordinate=True):
+    """construct._fill_rows over the row blocks that blocks() keeps;
+    when not offset, each block writes its sums from row 0, and when not
+    coordinate, every coordinate adds coordinate 0's summand rows."""
+    def _fill_rows(space, mulfn, add, zero):
+        sizes, n = space.sizes, space.order
+        rows = construct._build_table(space, mulfn, add.dtype, np.concatenate(
+            [zero + (np.arange(s) - z) * st for s, z, st in
+             zip(sizes, space.decompose_scalar(zero), space.strides)]))
+        out = np.empty((n, n), dtype=add.dtype)
+        m = r0 = sizes[0]
+        out[:m] = rows[:m]
+        for s in sizes[1:]:
+            first = r0 if coordinate else 0
+            summand = np.multiply(rows[first:first + s], n, dtype=np.intp)
+            for block in reversed(blocks(list(core._row_blocks(m,
+                                                               32 * s * n)))):
+                w0 = block.start * s if offset else 0
+                add.ravel().take(summand + out[block, None],
+                                 out=out[w0:w0 + (block.stop - block.start)
+                                         * s].reshape(-1, s, n))
+            r0 += s
+            m *= s
+        return out
+    return _fill_rows
+
+
+def broadcast_stand_in(same=False, scale_by_table=False, forward=False):
+    """construct._broadcast; with same every coordinate after the first
+    taken reads coordinate 0's table, with scale_by_table a prepended
+    coordinate is scaled by its own size and not the order so far, and
+    with forward the coordinates are prepended from the first to the
+    last, which reverses their significance."""
+    def _broadcast(tables, dtype):
+        order = list(tables) if forward else list(tables)[::-1]
+        out = order[0].astype(dtype)
+        for t in order[1:]:
+            t = tables[0] if same else t
+            m = len(t) if scale_by_table else len(out)
+            out = (t.astype(dtype)[:, None, :, None] * m
+                   + out[:, None, :]).reshape(len(t) * len(out), -1)
+        return out
+    return _broadcast
+
+
 BLOCK_MUTATIONS = {
     "unbroken": {},
     "skips the first block": {"blocks": lambda b: list(b)[1:]},
@@ -152,6 +200,18 @@ TREE_PROOF_MUTATIONS = {
     "drops the last block": {"blocks": lambda b: list(b)[:-1]},
     "drops the last generator's relation": {"relations": slice(-1)},
     "skips the left-distributive pass": {"left": False},
+}
+
+FILL_MUTATIONS = {
+    **BLOCK_MUTATIONS,
+    "reuses coordinate 0's summand rows": {"coordinate": False},
+}
+
+BROADCAST_MUTATIONS = {
+    "unbroken": {},
+    "reuses coordinate 0's table": {"same": True},
+    "scales by the coordinate's own size": {"scale_by_table": True},
+    "prepends the coordinates first to last": {"forward": True},
 }
 
 WALK_MUTATIONS = {
@@ -222,6 +282,14 @@ def walk_checks(rings):
                for t in SMALL_RINGS])
 
 
+def build_checks(rings):
+    # a sample of every constructor, and a product whose coordinate
+    # sizes read differently backwards
+    return [functools.partial(assert_builds_match_the_formula, text, c)
+            for text in sorted(SAMPLES.values()) + ["prod(Z(2),Z(3))"]
+            for c in CHUNKS]
+
+
 # kernel -> (module, name of its loop there, stand-in factory, checks,
 # mutations: name -> the stand-in's arguments)
 KERNELS = {
@@ -235,6 +303,10 @@ KERNELS = {
                         tree_proof_checks, TREE_PROOF_MUTATIONS),
     "_subgroup_generators": (core, "_subgroup_generators", walk_stand_in,
                              walk_checks, WALK_MUTATIONS),
+    "_fill_rows": (construct, "_fill_rows", fill_stand_in, build_checks,
+                   FILL_MUTATIONS),
+    "_broadcast": (construct, "_broadcast", broadcast_stand_in, build_checks,
+                   BROADCAST_MUTATIONS),
 }
 
 
