@@ -377,10 +377,11 @@ def _coord_ring(codec: CoordCodec, add, mul, zero, one, prov: str,
     coordinate, applied componentwise (built by _broadcast), or a
     formula mapping row and column coordinates to output coordinates
     (see _build_table); zero and one are coordinate lists.  A formula
-    mul of order at least _FILL_MIN_ORDER is filled from its
-    single-coordinate rows (_fill_rows) when every ring in inputs, the
-    rings the formula reads, is _biadditive; otherwise it is evaluated
-    on every cell.
+    mul of order at least _FILL_MIN_ORDER on two or more coordinates is
+    filled from its single-coordinate rows (_fill_rows) when every ring
+    in inputs, the rings the formula reads, is _biadditive; otherwise it
+    is evaluated on every cell.  (On one coordinate every row is a
+    single-coordinate row, so a fill would only copy them.)
     """
     space = codec.space
     _guard_build(space.order, guards, prov)
@@ -390,7 +391,8 @@ def _coord_ring(codec: CoordCodec, add, mul, zero, one, prov: str,
     add = _build_table(space, add, dt) if callable(add) else _broadcast(add, dt)
     if not callable(mul):
         mul = _broadcast(mul, dt)
-    elif space.order >= _FILL_MIN_ORDER and all(map(_biadditive, inputs)):
+    elif (space.order >= _FILL_MIN_ORDER and len(space.sizes) > 1
+          and all(map(_biadditive, inputs))):
         mul = _fill_rows(space, mul, add, zero)
     else:
         mul = _build_table(space, mul, dt)

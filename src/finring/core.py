@@ -110,10 +110,14 @@ class AxiomReport:
 def _row_blocks(rows: int, width: int = None, grow: bool = False):
     """Slices covering rows 0..rows-1 in order, each at most
     _CHUNK_CELLS cells of width (default rows) columns and at least one
-    row.  With grow the blocks hold 1, 2, 4, ... rows up to that cap, so
-    a scan that stops at an early witness reads few cells."""
+    row.  With grow the first block holds the rows of 1/256 of
+    _CHUNK_CELLS cells of a rows x rows table (2^14 by default, so a
+    table of order 128 or less is one block) and each next one twice as
+    many, up to that cap: a scan that stops at an early witness reads
+    few cells, and a small table is not split into many blocks."""
     cap = max(1, _CHUNK_CELLS // (width or rows))
-    r0, step = 0, 1 if grow else cap
+    step = min(cap, max(1, (_CHUNK_CELLS >> 8) // rows)) if grow else cap
+    r0 = 0
     while r0 < rows:
         yield slice(r0, min(rows, r0 + step))
         r0 += step

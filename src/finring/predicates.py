@@ -2,17 +2,26 @@
 distinguished idempotent.
 
 Verdicts carry the lexicographically least violating tuple so failures
-replay deterministically.  Sweeps are cached per ring (core._memo) as
-per-value minima: one pass prices every idempotent at once, and per-e
-verdicts afterwards cost O(order).  A pair property reads at most n^2
-cells, and every n^2-cell mask or gather here is made in row blocks of
-at most core._CHUNK_CELLS cells (core._row_blocks), so a sweep holds
-its blocks and its results beside the tables, never an n x n array.
-The pair lists (_zero_pairs, _rel) are int32 and their codes a*n+b
-int64.  von_neumann_regular reads rows in blocks that double up to
-that cap and stops at the first block holding an irregular element.
-The only n^2 temporaries left are in construct's table builds, and
-each is a table itself (see core._CHUNK_CELLS).
+replay deterministically.  The reversible, semicommutative and
+symmetric families (_Family) share one shape: a premise on a tuple
+implies value = 0, value*e = 0 or e*value = 0.  Each question, the
+global one or one side at one nonzero idempotent, asks for the least
+code over the values its mask marks bad.  Each family keeps one
+resumable scan per ring (_Scan, memoized by core._memo): the per-value
+minima of the rows read so far.  Codes grow with the row, so a question
+is answered as soon as its mask meets a value found, and the scan reads
+row blocks that double from 2^14 cells only until then.  A question that
+holds reads every row; later questions, in any order and from any later
+check or survey of the same ring, resume where the last one stopped.
+
+A pair property reads at most n^2 cells, and every n^2-cell mask or
+gather here is made in row blocks of at most core._CHUNK_CELLS cells
+(core._row_blocks), so a sweep holds its blocks and its results beside
+the tables, never an n x n array.  The a*R*b = 0 pairs (_rel) are int32
+and their codes a*n+b int64.  domain and von_neumann_regular read rows
+in growing blocks, and they and directly_finite stop at the first block
+holding a witness.  The only n^2 temporaries left are in construct's
+table builds, and each is a table itself (see core._CHUNK_CELLS).
 
 The triple families are decided on additive generators.  On a ring
 that passes core._biadditive ((R,+) abelian, + associative and both
@@ -29,7 +38,7 @@ quantified variable, and s(v) = v, v*e or e*v is additive in v:
   when (a*g)*b = 0 for every g in G (the pairs reflexive,
   right_idempotent_reflexive and prime read).
 
-So per value the pair minima cost O(n^2 d) cells, d the size of a
+So a scan prices each row of pairs in O(n d) cells, d the size of a
 generating set, and the least refuting pair is the least pair minimum
 over bad values; one O(n) scan then finds its least c or r.  Any
 other table gets the triple properties skipped (core._UNPROVEN_SKIP):
@@ -196,21 +205,23 @@ def unit_inverse(R: RingTable, x) -> Optional[int]:
 
 
 # ---------------------------------------------------------------------------
-# sweep caches: per-value minima over violating-candidate tuples
+# sweep caches: per-value minima over violating-candidate tuples, read
+# row block by row block
 
 
-def _cells(n: int, mask):
-    """Per row block, the codes a*n+b of the cells (a, b) that
-    mask(rows) marks in that block's rows, in lex order."""
-    for rows in _row_blocks(n):
-        yield np.flatnonzero(mask(rows)) + rows.start * n
+def _cells(n: int, mask, grow: bool = False):
+    """Per row block (core._row_blocks, growing with grow), the rows and
+    the codes a*n+b of the cells (a, b) that mask(rows) marks in them,
+    in lex order."""
+    for rows in _row_blocks(n, grow=grow):
+        yield rows, np.flatnonzero(mask(rows)) + rows.start * n
 
 
 def _pairs(n: int, mask) -> np.ndarray:
     """The cells (a, b) that mask marks (see _cells) in lex order, as
     int32 rows, which hold any index.  A code built back from them must
     be int64 (_codes): a*n+b passes int32 from order 46341 on."""
-    codes = np.concatenate(list(_cells(n, mask)))
+    codes = np.concatenate([codes for _, codes in _cells(n, mask)])
     out = np.empty((len(codes), 2), dtype=np.int32)
     np.divmod(codes, n, out=(out[:, 0], out[:, 1]))
     return out
@@ -221,19 +232,54 @@ def _codes(pairs: np.ndarray, n: int) -> np.ndarray:
     return pairs[:, 0] * np.int64(n) + pairs[:, 1]
 
 
-@_memo
-def _zero_pairs(R: RingTable) -> np.ndarray:
-    """The pairs (a, b) with a*b = 0, in lex order."""
-    return _pairs(R.order, lambda rows: R.mul[rows] == R.zero)
+def _zero_cells(mul: np.ndarray, zero: int):
+    """The zero pairs (a, b), a*b = 0, as _cells in growing row blocks."""
+    return _cells(len(mul), lambda rows: mul[rows] == zero, grow=True)
 
 
-@_memo
-def _rev_min(R: RingTable) -> np.ndarray:
+class _Scan:
+    """One family's resumable row scan of one ring.
+
+    m[v] is the least code a*n+b over the tuples of rows 0..rows-1 that
+    meet the premise with value v.  folds(m, *tables) is a generator:
+    each step reads the next row block into m and yields the rows read.
+    Codes grow with the row a, so a minimum found is final: once a
+    question's bad values meet one, the least of them is its answer, and
+    no later row can change it.  So the scan reads only the rows before
+    each answer's witness, in any order of asking, and every row only
+    for a question that holds.  folds gets the ring's tables and never
+    the ring, so a ring's memo holds no reference cycle back to it, and
+    a dropped ring is freed at once."""
+
+    def __init__(self, n: int, folds=None, *tables):
+        self.m = np.full(n, _SENTINEL, dtype=np.int64)
+        self.rows = 0
+        self._folds = folds(self.m, *tables) if folds else iter(())
+
+    def least(self, bad: np.ndarray) -> Optional[int]:
+        """The least code whose value v has bad[v], or None: reads row
+        blocks until a bad value is found or the rows run out."""
+        hit = (self.m < _SENTINEL) & bad
+        while not hit.any():
+            rows = next(self._folds, None)
+            if rows is None:
+                return None
+            self.rows = rows
+            hit = (self.m < _SENTINEL) & bad
+        return int(self.m[hit].min())
+
+
+def _rev_folds(m, mul, zero):
     """m[v] = least code a*n+b over zero pairs (a,b) with b*a = v."""
-    zp = _zero_pairs(R)
-    m = np.full(R.order, _SENTINEL, dtype=np.int64)
-    np.minimum.at(m, R.mul[zp[:, 1], zp[:, 0]], _codes(zp, R.order))
-    return m
+    for rows, codes in _zero_cells(mul, zero):
+        a, b = np.divmod(codes, len(mul))
+        np.minimum.at(m, mul[b, a], codes)
+        yield rows.stop
+
+
+@_memo
+def _rev_scan(R: RingTable) -> _Scan:
+    return _Scan(R.order, _rev_folds, R.mul, R.zero)
 
 
 def _ann_generators(R: RingTable) -> tuple:
@@ -256,22 +302,20 @@ def _ann_generators(R: RingTable) -> tuple:
     return gens, width, cls
 
 
-@_memo
-def _symm_gen_min(R: RingTable) -> np.ndarray:
+def _symm_folds(m, mul, gens, width, cls):
     """m[v] = least code a*n+b over pairs (a, b) and generators g of
-    r.ann(a*b) with (a*g)*b = v.  Each block's pairs are sorted by
-    their generator count, most first, so slot j reads only the prefix
-    of pairs whose annihilator has more than j generators."""
-    n = R.order
-    mul = R.mul
-    gens, width, cls = _ann_generators(R)
+    r.ann(a*b) with (a*g)*b = v (see _ann_generators).  Each block's
+    pairs are sorted by their generator count, most first, so slot j
+    reads only the prefix of pairs whose annihilator has more than j
+    generators."""
+    n = len(mul)
+    flat = mul.ravel()
     d = gens.shape[1]
     # a stable sort of uint8 keys is a radix sort
     fewer = (d - width).astype(np.uint8)
-    m = np.full(n, _SENTINEL, dtype=np.int64)
-    # a sorted pair holds about 40 bytes (its code, a, b, class and
-    # the gathers), so a block is 1/32 of _CHUNK_CELLS pairs
-    for rows in _row_blocks(n, 32 * n):
+    # a sorted pair holds about 40 bytes (its code, a, b, class and the
+    # gathers), so a block is at most 1/32 of _CHUNK_CELLS pairs
+    for rows in _row_blocks(n, 32 * n, grow=True):
         block = mul[rows]
         key = fewer[cls[block]].ravel()
         codes = np.argsort(key, kind="stable")
@@ -281,22 +325,35 @@ def _symm_gen_min(R: RingTable) -> np.ndarray:
         codes += rows.start * n
         a = (codes // n).astype(mul.dtype)
         for j, c in enumerate(live):
-            np.minimum.at(m, mul[mul[a[:c], gens[k[:c], j]], b[:c]],
-                          codes[:c])
-    return m
+            # (a*g)*b by two flat takes through one intp index, each
+            # faster than a two-index gather (see core._sums)
+            idx = np.multiply(a[:c], n, dtype=np.intp)
+            idx += gens[k[:c], j]
+            np.multiply(flat.take(idx), n, out=idx, dtype=np.intp)
+            idx += b[:c]
+            np.minimum.at(m, flat.take(idx), codes[:c])
+        yield rows.stop
 
 
 @_memo
-def _scomm_gen_min(R: RingTable) -> np.ndarray:
+def _symm_scan(R: RingTable) -> _Scan:
+    return _Scan(R.order, _symm_folds, R.mul, *_ann_generators(R))
+
+
+def _scomm_folds(m, mul, zero, gens):
     """m[v] = least code a*n+b over zero pairs (a, b) and additive
     generators g of R with (a*g)*b = v."""
-    zp = _zero_pairs(R)
-    A, B = zp[:, 0], zp[:, 1]
-    codes = _codes(zp, R.order)
-    m = np.full(R.order, _SENTINEL, dtype=np.int64)
-    for g in _additive_generators(R).gens:
-        np.minimum.at(m, R.mul[R.mul[A, g], B], codes)
-    return m
+    for rows, codes in _zero_cells(mul, zero):
+        a, b = np.divmod(codes, len(mul))
+        for g in gens:
+            np.minimum.at(m, mul[mul[a, g], b], codes)
+        yield rows.stop
+
+
+@_memo
+def _scomm_scan(R: RingTable) -> _Scan:
+    return _Scan(R.order, _scomm_folds, R.mul, R.zero,
+                 _additive_generators(R).gens)
 
 
 @_memo
@@ -310,19 +367,14 @@ def _rel(R: RingTable) -> np.ndarray:
     return rel
 
 
-def _nil_min(R: RingTable) -> np.ndarray:
-    """m[x] = x over the nilpotents x: each is its own least witness."""
-    m = np.full(R.order, _SENTINEL, dtype=np.int64)
+def _nil_scan(R: RingTable) -> _Scan:
+    """m[x] = x over the nilpotents x, each its own least witness: the
+    whole scan at once."""
+    scan = _Scan(R.order)
     nil = nilpotents(R)
-    m[nil] = nil
-    return m
-
-
-def _least_fail(m: np.ndarray, badvals: np.ndarray) -> Optional[int]:
-    hit = (m < _SENTINEL) & badvals
-    if not hit.any():
-        return None
-    return int(m[hit].min())
+    scan.m[nil] = nil
+    scan.rows = R.order
+    return scan
 
 
 def _prod(R: RingTable, *xs):
@@ -352,15 +404,17 @@ class _Prop(NamedTuple):
 
 class _Family(NamedTuple):
     """Conditions of the shape "premise on a tuple w implies value = 0",
-    the value being a product of entries of w.  The sweep cache holds,
-    for each value, the least code of a tuple meeting the premise.
+    the value being a product of entries of w.  The family's scan (a
+    _Scan, one per ring) holds, for each value found in the rows read so
+    far, the least code of a tuple meeting the premise, and resumes
+    where the last question left it.
 
-    A triple family's minima price pairs instead: per value, the least
+    A triple family's scan prices pairs instead: per value, the least
     code a*n+b of a pair whose generator (see the module docstring)
     meets the premise with that value, and one scan of w[2] finishes
-    the witness.  They are sound only on a _biadditive table."""
+    the witness.  It is sound only on a _biadditive table."""
     kind: str
-    minima: Callable    # R -> per-value least codes
+    scan: Callable      # R -> the family's scan of R
     premise: Optional[tuple]    # entries of w with product 0, or None
                                 # for "w[0] is nilpotent"
     value: tuple        # entries of w whose product is the value
@@ -377,7 +431,7 @@ class _Family(NamedTuple):
         """The least tuple meeting the premise whose value v has
         bad[v], or None."""
         n = R.order
-        code = _least_fail(self.minima(R), bad)
+        code = self.scan(R).least(bad)
         if code is None:
             return None
         if self.kind == "triple":
@@ -389,11 +443,11 @@ class _Family(NamedTuple):
         return tuple(int(i) for i in np.unravel_index(code, (n,) * arity))
 
 
-# the sweeps are looked up when called, so tests can stand in for them
-_REV = _Family("pair", _rev_min, (0, 1), (1, 0))
-_SCOMM = _Family("triple", lambda R: _scomm_gen_min(R), (0, 1), (0, 2, 1))
-_SYMM = _Family("triple", lambda R: _symm_gen_min(R), (0, 1, 2), (0, 2, 1))
-_NIL = _Family("pair", _nil_min, None, (0,))
+# the scans are looked up when called, so tests can stand in for them
+_REV = _Family("pair", lambda R: _rev_scan(R), (0, 1), (1, 0))
+_SCOMM = _Family("triple", lambda R: _scomm_scan(R), (0, 1), (0, 2, 1))
+_SYMM = _Family("triple", lambda R: _symm_scan(R), (0, 1, 2), (0, 2, 1))
+_NIL = _Family("pair", _nil_scan, None, (0,))
 
 
 def _sided(R: RingTable, side: str, e) -> np.ndarray:
@@ -497,13 +551,15 @@ def _chk_semiprime(R, e):
 
 
 def _chk_domain(R, e):
-    zp = _zero_pairs(R)
-    live = zp[(zp[:, 0] != R.zero) & (zp[:, 1] != R.zero)]
-    if len(live) == 0:
-        return None, None
-    a, b = (int(v) for v in live[0])
-    return (a, b), "%s*%s = 0 with both factors nonzero" % (
-        R.labels[a], R.labels[b])
+    # the zero pairs block by block, in lex order
+    for _, codes in _zero_cells(R.mul, R.zero):
+        A, B = np.divmod(codes, R.order)
+        live = np.flatnonzero((A != R.zero) & (B != R.zero))
+        if len(live):
+            a, b = int(A[live[0]]), int(B[live[0]])
+            return (a, b), "%s*%s = 0 with both factors nonzero" % (
+                R.labels[a], R.labels[b])
+    return None, None
 
 
 def _chk_abelian(R, e):
@@ -522,7 +578,7 @@ def _chk_abelian(R, e):
 
 def _chk_directly_finite(R, e):
     # the pairs with a*b = 1 block by block, in lex order
-    for codes in _cells(R.order, lambda rows: R.mul[rows] == R.one):
+    for _, codes in _cells(R.order, lambda rows: R.mul[rows] == R.one):
         A, B = np.divmod(codes, R.order)
         bad = np.flatnonzero(R.mul[B, A] != R.one)
         if len(bad):

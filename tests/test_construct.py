@@ -490,10 +490,21 @@ def assert_builds_match_the_formula(text, cells):
             formula_checked_builds() as seen:
         R = build_expr(text)
     name = parse(text).name
-    if name not in ("quot", "corner"):
+    if name not in ("quot", "corner", "Z"):
         kind = "broadcast" if name in ("prod", "trs") else "fill"
         assert (kind, R.order) in seen
-        assert ("broadcast", R.order) in seen or name == "Z"
+        assert ("broadcast", R.order) in seen
+
+
+def test_a_one_coordinate_ring_is_not_filled():
+    # Z(81) is past _FILL_MIN_ORDER, but its one coordinate makes every
+    # row a single-coordinate row: it is built by the formula alone
+    with formula_checked_builds() as seen:
+        R = build_expr("Z(81)")
+    assert seen == []
+    ar = np.arange(81)
+    assert np.array_equal(R.mul, ar[:, None] * ar % 81)
+    assert_builds_match_the_formula("Z(81)", core._CHUNK_CELLS)
 
 
 @pytest.mark.parametrize("text", sorted(

@@ -294,8 +294,8 @@ def test_memo_keys_miss_the_construction_keys():
     assert memoized == {
         "_additive_generators", "_proven_on_tree", "_biadditive",
         "_add_noncommuting", "idempotents", "_nil_index", "center",
-        "minimal_left_idempotents", "_zero_pairs", "_rev_min",
-        "_symm_gen_min", "_scomm_gen_min", "_rel"}
+        "minimal_left_idempotents", "_rev_scan", "_symm_scan",
+        "_scomm_scan", "_rel"}
     for text in ("H(Z(2),1,1)", "twist(Z(2),hom[#0,#1])", "quot(Z(12),4)"):
         R = build_expr(text)
         kept = {k: v for k, v in R._cache.items() if k in CONSTRUCTION_KEYS}

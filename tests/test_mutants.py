@@ -7,6 +7,7 @@ every check, so a kill is the break's doing and not the stand-in's.
 """
 
 import functools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,8 +22,12 @@ from test_core import (ODD_TABLES, Z16, _magma_closure,
                        assert_negation_matches_naive,
                        assert_tree_proof_matches_the_reference, broken_inverse,
                        naive_greedy_generators, odd_ring)
-from test_predicates import (FINITE_BREAKS, assert_zero_pairs_match_argwhere,
-                             assert_finite_witness_matches_naive, broken_ring)
+from test_predicates import (DOMAIN_BREAKS, FINITE_BREAKS, SCANS,
+                             assert_domain_witness_matches_naive,
+                             assert_finite_witness_matches_naive,
+                             assert_scans_answer_as_the_whole_table,
+                             assert_zero_pairs_match_argwhere, broken_ring,
+                             fresh, run_to_the_end, whole_table_minima)
 
 
 # ---------------------------------------------------------------------------
@@ -33,14 +38,117 @@ def every_block(blocks):
 
 
 def cells_stand_in(blocks=every_block, offset=True):
-    """predicates._cells, the loop of _zero_pairs, _rel and
+    """predicates._cells, the loop of the zero pairs, _rel and
     directly_finite, reading the blocks that blocks() keeps, and
     leaving out the row offset r0 of each code when not offset."""
-    def _cells(n, mask):
-        for rows in blocks(core._row_blocks(n)):
-            yield np.flatnonzero(mask(rows)) + (rows.start * n if offset
-                                                else 0)
+    def _cells(n, mask, grow=False):
+        for rows in blocks(core._row_blocks(n, grow=grow)):
+            yield rows, np.flatnonzero(mask(rows)) + (rows.start * n
+                                                      if offset else 0)
     return _cells
+
+
+def scan_stand_in(skip_first=False, lag=False, unmasked=False):
+    """predicates._Scan, the resumable loop of the three families; with
+    skip_first it drops the minima of its first block, with lag it
+    answers from the minima as they stood one block before, so it never
+    sees the last block, and with unmasked it stops at the first block
+    that finds any value, whether the question's mask marks it or not."""
+    class _Scan:
+        def __init__(self, n, folds=None, *tables):
+            self.m = np.full(n, predicates._SENTINEL, dtype=np.int64)
+            self.rows = 0
+            self._folds = folds(self.m, *tables) if folds else iter(())
+            self._seen = self.m
+            if skip_first and next(self._folds, None) is not None:
+                self.m[:] = predicates._SENTINEL
+
+        def least(self, bad):
+            while True:
+                found = self._seen < predicates._SENTINEL
+                if (found if unmasked else found & bad).any():
+                    hit = found & bad
+                    return int(self._seen[hit].min()) if hit.any() else None
+                before = self.m.copy()
+                rows = next(self._folds, None)
+                if rows is None:
+                    return None
+                self.rows = rows
+                if lag:
+                    self._seen = before
+    return _Scan
+
+
+def fold(m, values, codes, last=False):
+    """m[v] = the least of m[v] and the codes of value v, or with last
+    the last code of value v in this block."""
+    if last:
+        m[values] = codes
+    else:
+        np.minimum.at(m, values, codes)
+
+
+def zero_pair_scan(folds_of_pairs):
+    """A stand-in factory for a scan of the zero pairs (_rev_scan,
+    _scomm_scan): each growing row block's pairs go to
+    folds_of_pairs(R, m, a, b, codes, **flags), and when not offset the
+    codes leave out the block's row offset r0."""
+    def stand_in(offset=True, **flags):
+        @core._memo
+        def scan(R):
+            n = R.order
+
+            def folds(m):
+                for rows in core._row_blocks(n, grow=True):
+                    codes = np.flatnonzero(R.mul[rows] == R.zero)
+                    if offset:
+                        codes += rows.start * n
+                    folds_of_pairs(R, m, *np.divmod(codes, n), codes,
+                                   **flags)
+                    yield rows.stop
+            return predicates._Scan(n, folds)
+        return scan
+    return stand_in
+
+
+def rev_folds(R, m, a, b, codes, last=False):
+    fold(m, R.mul[b, a], codes, last)
+
+
+def scomm_folds(R, m, a, b, codes, last=False, drop_last=False):
+    gens = core._additive_generators(R).gens
+    for g in gens[:-1] if drop_last else gens:
+        fold(m, R.mul[R.mul[a, g], b], codes, last)
+
+
+def symm_scan_stand_in(offset=True, last=False, drop_last=False):
+    """predicates._symm_scan, with offset and last as for
+    zero_pair_scan; with drop_last no pair reads the last generator
+    slot, so the widest annihilators lose their last generator."""
+    @core._memo
+    def _symm_scan(R):
+        n, mul = R.order, R.mul
+        gens, width, cls = predicates._ann_generators(R)
+        d = gens.shape[1]
+        fewer = (d - width).astype(np.uint8)
+
+        def folds(m):
+            for rows in core._row_blocks(n, 32 * n, grow=True):
+                block = mul[rows]
+                key = fewer[cls[block]].ravel()
+                codes = np.argsort(key, kind="stable")
+                live = np.searchsorted(key[codes], d - np.arange(d))
+                k = cls[block.ravel()[codes]]
+                b = (codes % n).astype(mul.dtype)
+                if offset:
+                    codes += rows.start * n
+                a = (codes // n).astype(mul.dtype)
+                for j, c in enumerate(live[:-1] if drop_last else live):
+                    fold(m, mul[mul[a[:c], gens[k[:c], j]], b[:c]],
+                         codes[:c], last)
+                yield rows.stop
+        return predicates._Scan(n, folds)
+    return _symm_scan
 
 
 def negation_stand_in(blocks=every_block, offset=True):
@@ -214,6 +322,25 @@ BROADCAST_MUTATIONS = {
     "prepends the coordinates first to last": {"forward": True},
 }
 
+SCAN_MUTATIONS = {
+    "unbroken": {},
+    "starts at the second block": {"skip_first": True},
+    "stops one block before the answer is final": {"lag": True},
+    "answers from the minima found without testing the mask": {
+        "unmasked": True},
+}
+
+KERNEL_MUTATIONS = {
+    "unbroken": {},
+    "forgets the block's row offset": {"offset": False},
+    "keeps the last code instead of the least": {"last": True},
+}
+
+GENERATOR_MUTATIONS = {
+    **KERNEL_MUTATIONS,
+    "drops the last generator": {"drop_last": True},
+}
+
 WALK_MUTATIONS = {
     "unbroken": {},
     "records the wrong parent for the last coset": {"wrong_parent": True},
@@ -225,8 +352,42 @@ WALK_MUTATIONS = {
 # the differential checks, one list per kernel
 
 def zero_pairs_checks(rings):
-    return [functools.partial(assert_zero_pairs_match_argwhere, rings[t], c)
-            for t in SMALL_RINGS for c in CHUNKS]
+    Z7 = build_expr("Z(7)")
+    return ([functools.partial(assert_zero_pairs_match_argwhere, rings[t], c)
+             for t in SMALL_RINGS for c in CHUNKS]
+            + [functools.partial(assert_domain_witness_matches_naive,
+                                 broken_ring(Z7, [(a, b, Z7.zero)]), c)
+               for a, b in DOMAIN_BREAKS for c in CHUNKS])
+
+
+# noncommutative rings for the scan checks, where the families fail
+SCAN_RINGS = ("U(2,Z(2))", "M(2,Z(2))", "D(3,Z(2))",
+              "twist(Z(2),hom[#0,#1])")
+
+
+def assert_scans_reach_the_whole_table(R, minima, cells):
+    """Each scan of a fresh copy of R, run to its end in blocks of cells
+    cells, holds the whole-table minima."""
+    for name in SCANS:
+        S = fresh(R)
+        with mock.patch.object(core, "_CHUNK_CELLS", cells):
+            m = run_to_the_end(getattr(predicates, name)(S))
+        assert m.tolist() == minima[name].tolist(), name
+
+
+def scan_checks(rings):
+    # and Z(7) with the one live zero pair (6, 3): reversible fails
+    # only in the last row
+    Z7 = build_expr("Z(7)")
+    checked = [rings[t] for t in SCAN_RINGS] + [
+        broken_ring(Z7, [(6, 3, Z7.zero)])]
+    minima = [whole_table_minima(R) for R in checked]
+    return [functools.partial(check, R, m, c)
+            for R, m in zip(checked, minima) for c in CHUNKS
+            for check in (assert_scans_reach_the_whole_table,
+                          functools.partial(
+                              assert_scans_answer_as_the_whole_table,
+                              seed=c))]
 
 
 def finite_checks(rings):
@@ -293,12 +454,21 @@ def build_checks(rings):
 # kernel -> (module, name of its loop there, stand-in factory, checks,
 # mutations: name -> the stand-in's arguments)
 KERNELS = {
+    # the zero pairs as _cells yields them to the scans and to domain
     "_zero_pairs": (predicates, "_cells", cells_stand_in, zero_pairs_checks,
                     BLOCK_MUTATIONS),
     "directly_finite": (predicates, "_cells", cells_stand_in, finite_checks,
                         BLOCK_MUTATIONS),
     "build_ring": (core, "_negation", negation_stand_in, negation_checks,
                    BLOCK_MUTATIONS),
+    "_Scan": (predicates, "_Scan", scan_stand_in, scan_checks,
+              SCAN_MUTATIONS),
+    "_rev_scan": (predicates, "_rev_scan", zero_pair_scan(rev_folds),
+                  scan_checks, KERNEL_MUTATIONS),
+    "_scomm_scan": (predicates, "_scomm_scan", zero_pair_scan(scomm_folds),
+                    scan_checks, GENERATOR_MUTATIONS),
+    "_symm_scan": (predicates, "_symm_scan", symm_scan_stand_in, scan_checks,
+                   GENERATOR_MUTATIONS),
     "_proven_on_tree": (core, "_proven_on_tree", tree_proof_stand_in,
                         tree_proof_checks, TREE_PROOF_MUTATIONS),
     "_subgroup_generators": (core, "_subgroup_generators", walk_stand_in,

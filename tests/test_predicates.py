@@ -1,7 +1,9 @@
 """Engine verdicts against the naive loops, plus witness behavior."""
 
+import gc
 import itertools
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -316,8 +318,17 @@ def naive_sweep_minima(R):
     return rev, scomm, rel, symm
 
 
+def run_to_the_end(scan):
+    """The minima of scan after it has read every row: a question no
+    value answers reads them all."""
+    assert scan.least(np.zeros(len(scan.m), dtype=bool)) is None
+    assert scan.rows == len(scan.m)
+    return scan.m
+
+
 def assert_sweeps_match_naive(R):
-    assert predicates._rev_min(R).tolist() == naive_sweep_minima(R)[0]
+    rev = run_to_the_end(predicates._rev_scan.__wrapped__(R))
+    assert rev.tolist() == naive_sweep_minima(R)[0]
 
 
 @pytest.mark.parametrize("text", SWEEP_RINGS)
@@ -390,7 +401,7 @@ def test_reflexive_on_a_table_whose_one_is_not_an_identity(rings):
     S = build_ring(R.add, R.mul, R.zero, 1, R.labels)
     assert predicates._biadditive(S)
     cand = np.argwhere(S.mul[S.mul[:, S.one]] == S.zero)
-    assert cand.tolist() != predicates._zero_pairs(S).tolist()
+    assert cand.tolist() != np.argwhere(S.mul == S.zero).tolist()
     v = check_property(S, "reflexive")
     assert v.witness == least_replaying(S, "reflexive", None) == (1, 2, 1)
     assert v.detail == ("[[0,0],[0,1]]*R*[[0,1],[0,0]] = 0 but "
@@ -453,8 +464,7 @@ def test_witnesses_on_random_biadditive_tables(pd, data):
         for e in instances(S, prop):
             v = check_property(S, prop, e)
             assert v.witness == least_replaying(S, prop, e), (prop, e)
-    assert (predicates._symm_gen_min(S).tolist()
-            == padded_symm_gen_min(S).tolist())
+    assert fresh_symm_minima(S).tolist() == padded_symm_gen_min(S).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +578,7 @@ def test_broken_table_never_runs_the_generator_sweeps(rings, monkeypatch):
     R = rings["U(2,Z(2))"]
     S = broken_ring(R, [(1, 2, int(R.mul[1, 2]) ^ 1)])
     assert not predicates._biadditive(S)
-    _forbid_sweeps(monkeypatch, "_symm_gen_min", "_scomm_gen_min", "_rel")
+    _forbid_sweeps(monkeypatch, "_symm_scan", "_scomm_scan", "_rel")
     verdicts = survey(S, properties=TRIPLE_PROPS)
     assert len(verdicts) == 5 + 3 * (len(idempotents(S)) - 1)
     for v in verdicts:
@@ -585,19 +595,20 @@ def test_a_second_survey_reuses_the_sweep_caches(monkeypatch):
     n_first = len(calls)
     assert n_first >= 1
     assert [v.to_dict() for v in survey(R)] == first
-    # _ann_generators is not memoized, but _symm_gen_min kept its minima
+    # _ann_generators is not memoized, but _symm_scan kept its state
     assert len(calls) == n_first
 
 
 # ---------------------------------------------------------------------------
-# _symm_gen_min against the kernel that pads every generator set
+# the symmetric scan against the kernel that pads every generator set
 
 def padded_symm_gen_min(R):
-    """_symm_gen_min with every annihilator's generators padded with
-    zero to the widest set, so that each slot gathers all n^2 pairs.
-    On a _biadditive table a padded slot offers only the value
-    (a*0)*b = 0, whose minimum is already code 0 from the pair (0, 0)
-    (r.ann(0) = R has a generator), so the minima are the same."""
+    """The symmetric minima over every pair at once, with every
+    annihilator's generators padded with zero to the widest set, so
+    that each slot gathers all n^2 pairs.  On a _biadditive table a
+    padded slot offers only the value (a*0)*b = 0, whose minimum is
+    already code 0 from the pair (0, 0) (r.ann(0) = R has a
+    generator), so the minima are the same."""
     n, mul = R.order, R.mul
     gens, _, cls = predicates._ann_generators(R)
     m = np.full(n, predicates._SENTINEL, dtype=np.int64)
@@ -609,9 +620,10 @@ def padded_symm_gen_min(R):
     return m
 
 
-def fresh_symm_gen_min(R):
-    """_symm_gen_min computed anew, past the per-ring memo."""
-    return predicates._symm_gen_min.__wrapped__(R)
+def fresh_symm_minima(R):
+    """The symmetric scan made anew, past the per-ring memo, and run to
+    its end."""
+    return run_to_the_end(predicates._symm_scan.__wrapped__(R))
 
 
 def test_symm_kernel_matches_the_padded_one_on_the_corpus(corpus):
@@ -619,7 +631,7 @@ def test_symm_kernel_matches_the_padded_one_on_the_corpus(corpus):
              if e.ring is not None and e.ring.order <= 1024]
     assert max(R.order for R in rings) == 512
     for R in rings:
-        assert (fresh_symm_gen_min(R).tolist()
+        assert (fresh_symm_minima(R).tolist()
                 == padded_symm_gen_min(R).tolist()), R.provenance
 
 
@@ -631,8 +643,168 @@ def test_symm_kernel_matches_the_padded_one_on_every_constructor(text,
     # pairs), and the default sorts every sample's table at once
     R = build_expr(text)
     with mock.patch.object(core, "_CHUNK_CELLS", cells):
-        assert (fresh_symm_gen_min(R).tolist()
+        assert (fresh_symm_minima(R).tolist()
                 == padded_symm_gen_min(R).tolist())
+
+
+# ---------------------------------------------------------------------------
+# the resumable scans against the whole-table minima they replaced
+
+# each family's scan, and the properties read off it
+SCANS = {
+    "_rev_scan": ("reversible", "right_e_reversible", "left_e_reversible"),
+    "_scomm_scan": ("semicommutative", "right_e_semicommutative",
+                    "left_e_semicommutative"),
+    "_symm_scan": ("symmetric", "e_symmetric"),
+}
+SCANNED = sum(SCANS.values(), ())
+
+
+def whole_table_minima(R):
+    """name -> that family's per-value minima over all n^2 pairs at
+    once, for each of SCANS."""
+    n, mul = R.order, R.mul
+    a, b = np.argwhere(mul == R.zero).T
+    codes = a * n + b
+    rev, scomm = (np.full(n, predicates._SENTINEL, dtype=np.int64)
+                  for _ in range(2))
+    np.minimum.at(rev, mul[b, a], codes)
+    for g in core._additive_generators(R).gens:
+        np.minimum.at(scomm, mul[mul[a, g], b], codes)
+    return {"_rev_scan": rev, "_scomm_scan": scomm,
+            "_symm_scan": padded_symm_gen_min(R)}
+
+
+def fresh(R):
+    """R's tables as a new ring object, its axioms proven and no scan
+    made yet."""
+    S = build_ring(R.add, R.mul, R.zero, R.one, R.labels, R.provenance)
+    predicates._biadditive(S)
+    return S
+
+
+def least_code(m, bad):
+    hit = (m < predicates._SENTINEL) & bad
+    return int(m[hit].min()) if hit.any() else None
+
+
+def completed_scan(m):
+    """A scan that has read every row and found the minima m."""
+    scan = predicates._Scan(len(m))
+    scan.m[:] = m
+    return scan
+
+
+def whole_table_verdicts(R, minima):
+    """(property, e) -> the verdict dict of each of SCANNED at each
+    nonzero idempotent, read off the whole-table minima."""
+    S = fresh(R)
+    with mock.patch.multiple(predicates, **{
+            name: lambda R, m=m: completed_scan(m)
+            for name, m in minima.items()}):
+        return {(p, e): check_property(S, p, e).to_dict()
+                for p in SCANNED for e in instances(S, p)}
+
+
+def assert_scans_answer_as_the_whole_table(R, minima, cells, seed):
+    """Each scan of a fresh copy of R, in blocks of cells cells, asked
+    every question in a seeded order (the global one, and each side at
+    each nonzero idempotent), answers the least code of minima over the
+    question's bad values."""
+    S = fresh(R)
+    es = [int(e) for e in idempotents(S) if e != S.zero]
+    questions = [(name, "", None) for name in SCANS] + [
+        (name, side, e) for name in SCANS for side in ("right", "left")
+        for e in es]
+    np.random.default_rng(seed).shuffle(questions)
+    with mock.patch.object(core, "_CHUNK_CELLS", cells):
+        for name, side, e in questions:
+            bad = predicates._sided(S, side, e) != S.zero
+            assert (getattr(predicates, name)(S).least(bad)
+                    == least_code(minima[name], bad)), (name, side, e)
+
+
+def assert_checks_after_a_survey_match_the_whole_table(R, want, cells,
+                                                       seed):
+    """On a fresh copy of R, in blocks of cells cells: a survey of a
+    seeded half of SCANNED, then checks of the other half at 16 seeded
+    (property, e) cases, on the same ring object, give the verdicts want
+    (whole_table_verdicts)."""
+    rng = np.random.default_rng(seed)
+    S = fresh(R)
+    es = [int(e) for e in idempotents(S) if e != S.zero]
+    asked = list(rng.permutation(SCANNED)[:len(SCANNED) // 2])
+    cases = [case for case in want if case[0] not in asked]
+    with mock.patch.object(core, "_CHUNK_CELLS", cells):
+        got = [v.to_dict() for v in survey(S, properties=asked)]
+        assert got == ([want[p, None] for p in asked if p not in E_PROPS]
+                       + [want[p, e] for e in es for p in asked
+                          if p in E_PROPS])
+        for k in rng.permutation(len(cases))[:16]:
+            assert check_property(S, *cases[k]).to_dict() == want[cases[k]]
+
+
+def assert_resumed_scans_match_the_whole_table(R, seed=0):
+    minima = whole_table_minima(R)
+    want = whole_table_verdicts(R, minima)
+    for cells in CHUNKS:
+        assert_scans_answer_as_the_whole_table(R, minima, cells, seed)
+        assert_checks_after_a_survey_match_the_whole_table(R, want, cells,
+                                                           seed)
+
+
+def test_resumed_scans_match_the_whole_table_on_the_corpus(corpus):
+    rings = [e.ring for e in corpus.entries
+             if e.ring is not None and e.ring.order <= 1024]
+    for seed, R in enumerate(rings):
+        assert_resumed_scans_match_the_whole_table(R, seed)
+
+
+@pytest.mark.parametrize("text", sorted(SAMPLES.values()))
+def test_resumed_scans_match_the_whole_table_on_every_constructor(text):
+    assert_resumed_scans_match_the_whole_table(build_expr(text))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_resumed_scans_match_the_whole_table_on_random_biadditive_tables(
+        seed):
+    rng = np.random.default_rng(seed)
+    p, d = [(2, 2), (2, 3), (3, 2), (2, 4)][seed % 4]
+    S = bilinear_table(p, d, rng.integers(0, p, (d, d, d)),
+                       int(rng.integers(1, p ** d)))
+    assert predicates._biadditive(S)
+    assert_resumed_scans_match_the_whole_table(S, seed)
+
+
+def test_a_dropped_ring_is_freed_with_its_scans_half_read():
+    # in blocks of 1-3 rows, M(2,Z(2))'s survey leaves its scans part
+    # read, their generators live: they must hold its tables and not the
+    # ring, or the ring (and at order 4096 its 64 MiB of tables) would
+    # wait for the cyclic garbage collector
+    R = build_expr("M(2,Z(2))")
+    with mock.patch.object(core, "_CHUNK_CELLS", 48):
+        survey(R)
+    assert predicates._symm_scan(R).rows < R.order
+    gc.disable()
+    try:
+        ref = weakref.ref(R)
+        del R
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_a_survey_reads_only_the_rows_before_its_witnesses():
+    # every reversible and symmetric question of M(3,Z(2)) has its
+    # least witness in the first rows, so those scans read their first
+    # block alone, the 32 rows of 2^14 cells; every question that holds
+    # in U(3,Z(3)) reads all 729
+    R = build_expr("M(3,Z(2))")
+    survey(R)
+    assert predicates._rev_scan(R).rows == predicates._symm_scan(R).rows == 32
+    S = build_expr("U(3,Z(3))")
+    survey(S)
+    assert {getattr(predicates, name)(S).rows for name in SCANS} == {729}
 
 
 # ---------------------------------------------------------------------------
@@ -654,11 +826,22 @@ def naive_finite_witness(R):
                  if mul[a][b] == one and mul[b][a] != one), None)
 
 
+def zero_codes(R):
+    """The codes a*n+b of the zero pairs, block by block as the scans
+    and domain read them."""
+    return np.concatenate([codes for _, codes in predicates._zero_cells(R.mul, R.zero)])
+
+
 def assert_zero_pairs_match_argwhere(R, cells):
     with mock.patch.object(core, "_CHUNK_CELLS", cells):
-        zp = predicates._zero_pairs.__wrapped__(R)
-    assert zp.dtype == np.int32
-    assert zp.tolist() == np.argwhere(R.mul == R.zero).tolist()
+        blocks = [rows for rows, _ in predicates._zero_cells(R.mul, R.zero)]
+        codes = zero_codes(R)
+    assert [rows.start for rows in blocks] == [0] + [
+        rows.stop for rows in blocks[:-1]]
+    assert blocks[-1].stop == R.order
+    assert codes.dtype == np.int64
+    assert (np.stack(np.divmod(codes, R.order), axis=1).tolist()
+            == np.argwhere(R.mul == R.zero).tolist())
 
 
 def assert_finite_witness_matches_naive(R, cells):
@@ -668,6 +851,19 @@ def assert_finite_witness_matches_naive(R, cells):
     assert (finite.status == "holds") == oracle.naive_directly_finite(R)
 
 
+def naive_domain_witness(R):
+    """The least (a, b) with a*b = 0 and both nonzero, or None."""
+    n, z, mul = R.order, R.zero, R.mul.tolist()
+    return next(((a, b) for a in range(n) for b in range(n)
+                 if mul[a][b] == z and a != z and b != z), None)
+
+
+def assert_domain_witness_matches_naive(R, cells):
+    with mock.patch.object(core, "_CHUNK_CELLS", cells):
+        domain = check_property(R, "domain")
+    assert domain.witness == naive_domain_witness(R)
+
+
 def assert_pair_checkers_match_naive(R, cells):
     with mock.patch.object(core, "_CHUNK_CELLS", cells):
         regular = check_property(R, "von_neumann_regular")
@@ -675,6 +871,7 @@ def assert_pair_checkers_match_naive(R, cells):
     assert ((regular.status == "holds")
             == oracle.naive_von_neumann_regular(R))
     assert_finite_witness_matches_naive(R, cells)
+    assert_domain_witness_matches_naive(R, cells)
     assert_zero_pairs_match_argwhere(R, cells)
 
 
@@ -753,6 +950,21 @@ def test_directly_finite_witness_in_every_row_block(a, b, cells):
     assert_pair_checkers_match_naive(S, cells)
 
 
+# Z(7), a domain, with one product a*b = 0 of nonzero factors: the only
+# live zero pair, in the second row, a middle one and the last.  At 48
+# cells the growing blocks are rows 0 | 1 2 | 3 4 5 6
+DOMAIN_BREAKS = ((1, 5), (3, 2), (6, 3))
+
+
+@pytest.mark.parametrize("a, b", DOMAIN_BREAKS)
+@pytest.mark.parametrize("cells", CHUNKS)
+def test_domain_witness_in_every_row_block(a, b, cells):
+    R = build_expr("Z(7)")
+    S = broken_ring(R, [(a, b, R.zero)])
+    assert naive_domain_witness(S) == (a, b)
+    assert_pair_checkers_match_naive(S, cells)
+
+
 def test_directly_finite_reads_every_one_of_a_row():
     # Z(7) with 2*6 = 1: row 2 holds 1 at 4 (4*2 = 1, fine) and at 6,
     # where 6*2 = 5
@@ -781,20 +993,24 @@ def test_regular_scan_holds_no_square_temporary():
     assert peak < 32 * cells < R.order ** 2
 
 
-def test_pair_codes_are_int64_past_order_46340():
-    # the zero pair (n-1, 1) of a stand-in of order 50000 whose zero mul
-    # table costs nothing: its code (n-1)*n + 1 passes int32, so the
-    # minima must build it in int64 from the int32 pair
+def test_pair_codes_are_int64_past_order_46340(monkeypatch):
+    # the last row of a stand-in of order 50000 whose zero mul table
+    # costs nothing, read as the only block: the codes (n-1)*n + b of
+    # its zero pairs pass int32, so the scans and domain must build them
+    # in int64
     n = 50000
     R = core.RingTable(order=n, add=None, neg=None, zero=0, one=1,
-                       labels=(), provenance="stand-in",
+                       labels=range(n), provenance="stand-in",
                        mul=np.broadcast_to(np.zeros(n, np.int32), (n, n)))
-    R._cache["_zero_pairs"] = np.array([[n - 1, 1]], dtype=np.int32)
     R._cache["_additive_generators"] = core._CosetTree([1], [], [])
-    for minima in (predicates._rev_min, predicates._scomm_gen_min):
-        m = minima.__wrapped__(R)
+    monkeypatch.setattr(predicates, "_row_blocks",
+                        lambda rows, width=None, grow=False:
+                        iter([slice(rows - 1, rows)]))
+    for scan in (predicates._rev_scan, predicates._scomm_scan):
+        m = run_to_the_end(scan.__wrapped__(R))
         assert m.dtype == np.int64
-        assert int(m[0]) == (n - 1) * n + 1
+        assert int(m[0]) == (n - 1) * n
+    assert predicates._chk_domain(R, None)[0] == (n - 1, 1)
 
 
 def naive_rel(R):
@@ -821,12 +1037,12 @@ def test_blocked_kernels_do_not_depend_on_the_block_size(text):
 
     def kernels():
         gens, width, cls = predicates._ann_generators(R)
-        return ([f.__wrapped__(R).tolist() for f in (
-                    predicates.center, predicates._zero_pairs,
-                    predicates._rel, predicates._rev_min,
-                    predicates._scomm_gen_min)]
-                + [gens.tolist(), width.tolist(), cls.tolist(),
-                   core._proven_on_tree.__wrapped__(R),
+        return ([f.__wrapped__(R).tolist()
+                 for f in (predicates.center, predicates._rel)]
+                + [run_to_the_end(scan.__wrapped__(R)).tolist()
+                   for scan in (predicates._rev_scan, predicates._scomm_scan)]
+                + [zero_codes(R).tolist(), gens.tolist(), width.tolist(),
+                   cls.tolist(), core._proven_on_tree.__wrapped__(R),
                    core._add_noncommuting.__wrapped__(R)])
     whole = kernels()
     for cells in CHUNKS[:2]:
