@@ -1,14 +1,16 @@
 """Command line front end: check, survey, laws, describe.
 
 Exit codes: 0 ok (a failing property verdict is still 0 for check), 1
-law violations, 2 usage or parse errors, 3 size guard aborts.  Machine
-reports are a single JSON object with stable key order and no floats,
-so byte-identical reruns and load/dump round-trips hold.
+law violations, 2 usage or parse errors, 3 size guard aborts, 141 (128
++ SIGPIPE) when the reader of stdout went away.  Machine reports are a
+single JSON object with stable key order and no floats, so
+byte-identical reruns and load/dump round-trips hold.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .core import DEFAULT_GUARDS, Guards, RingError, SizeGuardError
@@ -248,10 +250,14 @@ def _parser():
                         default="table", help="output mode")
     common.add_argument("--max-pair-order", type=int,
                         default=DEFAULT_GUARDS.pair_cap,
-                        help="largest order for quadratic sweeps")
+                        help="largest order for the pair properties "
+                             "(O(n^2) table cells)")
     common.add_argument("--max-triple-order", type=int,
                         default=DEFAULT_GUARDS.triple_cap,
-                        help="largest order for cubic sweeps")
+                        help="largest order for the axiom check (an "
+                             "O(n^2) proof; a failing axiom's least witness "
+                             "is a cubic scan) and the triple properties "
+                             "(O(n^2*d) cells on d additive generators)")
     common.add_argument("--cache", metavar="DIR", default=None,
                         help="ignored; kept so older command lines still "
                              "run (rings are always built in memory)")
@@ -293,7 +299,9 @@ def main(argv=None) -> int:
     args = top.parse_args(argv)
     args.echo = argv
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()      # a closed pipe raises here, not at exit
+        return code
     except ParseError as err:
         print("parse error: %s" % err, file=sys.stderr)
         return 2
@@ -303,6 +311,11 @@ def main(argv=None) -> int:
     except (RingError, ValueError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # not bad input: the reader (say, head) stopped reading.  Point
+        # stdout at devnull, so that the exit-time flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except OSError as err:
         print("error: %s" % err, file=sys.stderr)
         return 2

@@ -4,14 +4,17 @@ Each law quantifies one equivalence or transfer statement over every
 applicable (ring, idempotent) instance the corpus offers.  A violated
 case means an implementation bug, never new mathematics, so violations
 carry replayable witnesses and the reporting errs on the loud side.
+
+A law is one _LAWS row (see _Law).  run_law applies the row's size
+guard to each corpus entry before the law reads it, so a per-ring
+checker only ever sees one built ring that is within its guard.
 """
 from __future__ import annotations
 
 import time
-from collections import namedtuple
 from dataclasses import dataclass
 from importlib import resources
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -96,8 +99,9 @@ class CorpusEntry:
 
     An entry whose order, sized from its expression (expr_order), lies
     past every sweep guard and within the build cap is left unbuilt:
-    ring is None and order holds that size.  Every law skips such an
-    entry, so the laws get a table-less stand-in for it (see _entries).
+    ring is None and order holds that size.  run_law sizes such an entry
+    by that order, so every law that reads the corpus skips it and no
+    checker sees it.
     """
 
     text: str
@@ -196,29 +200,10 @@ def _ok(R, prop, e, guards):
     return check_property(R, prop, e, guards).status == "holds"
 
 
-# what a law may read of an entry left unbuilt; it has no tables, so
-# reading one raises
-_Unbuilt = namedtuple("_Unbuilt", "order provenance")
-
-
-def _entries(corpus, constructor=None):
-    """The corpus rings, or those whose outermost constructor is named;
-    an entry left unbuilt comes as its _Unbuilt stand-in."""
-    out = []
-    for ent in corpus.entries:
-        if constructor not in (None, ent.node.name):
-            continue
-        if ent.ring is not None:
-            out.append(ent.ring)
-        elif ent.order is not None:
-            out.append(_Unbuilt(ent.order, serialize(ent.node)))
-    return out
-
-
 @dataclass(frozen=True)
 class _Cases:
-    """The case factory of one law, bound to its name: a law is a
-    generator (case, corpus, guards) that yields only cases made here."""
+    """The case factory of one law, bound to its name: a law's checkers
+    are generators that yield only cases made here."""
 
     law: str
 
@@ -230,36 +215,26 @@ class _Cases:
         return self(ring, idem, "holds" if ok else "violated",
                     reason=None if ok else reason, **fields)
 
-    def skip(self, R, guards, kind="pair", order=None) -> LawCase:
-        """R's case skipped: order (R's own by default) is past the
-        guard of a kind sweep."""
-        return self(R.provenance, None, "skipped",
-                    reason=_guard_skip(guards, kind, order or R.order))
-
 
 # --- corner characterization -------------------------------------------------
 
-def _law_ere(case, corpus, guards):
-    for R in _entries(corpus):
-        if R.order > guards.pair_cap:
-            yield case.skip(R, guards)
-            continue
-        for f in _nz_idem(R):
-            sub, _ = corner(R, f, guards)
-            rev = _ok(sub, "reversible", None, guards)
-            lsc = is_left_semicentral(R, f)
-            rsc = is_right_semicentral(R, f)
-            right = _ok(R, "right_e_reversible", f, guards)
-            left = _ok(R, "left_e_reversible", f, guards)
-            okr = right == (lsc and rev)
-            okl = left == (rsc and rev)
-            detail = ("corner order %d reversible=%s; semicentral left=%s "
-                      "right=%s; relative right=%s left=%s"
-                      % (sub.order, rev, lsc, rsc, right, left))
-            side = "right" if not okr else "left"
-            yield case.verdict(R.provenance, R.labels[f], okr and okl,
-                               "%s-side characterization broke" % side,
-                               detail=detail)
+def _law_ere(case, R, guards):
+    for f in _nz_idem(R):
+        sub, _ = corner(R, f, guards)
+        rev = _ok(sub, "reversible", None, guards)
+        lsc = is_left_semicentral(R, f)
+        rsc = is_right_semicentral(R, f)
+        right = _ok(R, "right_e_reversible", f, guards)
+        left = _ok(R, "left_e_reversible", f, guards)
+        okr = right == (lsc and rev)
+        okl = left == (rsc and rev)
+        detail = ("corner order %d reversible=%s; semicentral left=%s "
+                  "right=%s; relative right=%s left=%s"
+                  % (sub.order, rev, lsc, rsc, right, left))
+        side = "right" if not okr else "left"
+        yield case.verdict(R.provenance, R.labels[f], okr and okl,
+                           "%s-side characterization broke" % side,
+                           detail=detail)
 
 
 # --- semiprime collapse ------------------------------------------------------
@@ -268,181 +243,148 @@ _COLLAPSE_LEGS = ("right_e_reversible", "right_e_reduced", "e_symmetric",
                   "right_e_semicommutative")
 
 
-def _law_semiprime_collapse(case, corpus, guards):
-    for R in _entries(corpus):
-        sp = check_property(R, "semiprime", None, guards)
-        if sp.status == "skipped":
-            yield case(R.provenance, None, "skipped", reason=sp.reason)
+def _law_semiprime_collapse(case, R, guards):
+    # within the pair guard semiprime and the two pair legs are decided,
+    # so at least two legs are always compared
+    sp = check_property(R, "semiprime", None, guards)
+    if sp.status == "fails":
+        yield case(R.provenance, None, "not-applicable",
+                   witness=sp.witness, witness_labels=sp.witness_labels,
+                   reason="not semiprime")
+        return
+    for f in _nz_idem(R):
+        legs = [(p, check_property(R, p, f, guards)) for p in _COLLAPSE_LEGS]
+        live = [(p, v) for p, v in legs if v.status != "skipped"]
+        dropped = [p for p, v in legs if v.status == "skipped"]
+        verdicts = [(p, v.status == "holds") for p, v in live]
+        detail = "; ".join("%s=%s" % pv for pv in verdicts)
+        if dropped:
+            detail += "; skipped: " + ", ".join(dropped)
+        if len({val for _, val in verdicts}) == 1:
+            yield case(R.provenance, R.labels[f], "holds", detail=detail)
             continue
-        if sp.status == "fails":
-            yield case(R.provenance, None, "not-applicable",
-                       witness=sp.witness, witness_labels=sp.witness_labels,
-                       reason="not semiprime")
-            continue
-        for f in _nz_idem(R):
-            legs = [(p, check_property(R, p, f, guards))
-                    for p in _COLLAPSE_LEGS]
-            live = [(p, v) for p, v in legs if v.status != "skipped"]
-            dropped = [p for p, v in legs if v.status == "skipped"]
-            if len(live) < 2:
-                yield case(R.provenance, R.labels[f], "skipped",
-                           reason="guards left fewer than two conditions "
-                                  "to compare")
-                continue
-            verdicts = [(p, v.status == "holds") for p, v in live]
-            detail = "; ".join("%s=%s" % pv for pv in verdicts)
-            if dropped:
-                detail += "; skipped: " + ", ".join(dropped)
-            if len({val for _, val in verdicts}) == 1:
-                yield case(R.provenance, R.labels[f], "holds", detail=detail)
-                continue
-            bad = next(v for _, v in live if v.status == "fails")
-            yield case(R.provenance, R.labels[f], "violated",
-                       witness=bad.witness, witness_labels=bad.witness_labels,
-                       detail=detail,
-                       reason="conditions disagree on a semiprime ring")
+        bad = next(v for _, v in live if v.status == "fails")
+        yield case(R.provenance, R.labels[f], "violated",
+                   witness=bad.witness, witness_labels=bad.witness_labels,
+                   detail=detail,
+                   reason="conditions disagree on a semiprime ring")
 
 
 # --- complemented idempotent pair --------------------------------------------
 
-def _law_e_and_complement(case, corpus, guards):
-    for R in _entries(corpus):
-        if R.order > guards.pair_cap:
-            yield case.skip(R, guards)
+def _law_e_and_complement(case, R, guards):
+    good = []
+    for f in _nz_idem(R):
+        g = int(R.add[R.one, R.neg[f]])
+        if g == R.zero:
             continue
-        good = []
-        for f in _nz_idem(R):
-            g = int(R.add[R.one, R.neg[f]])
-            if g == R.zero:
-                continue
-            if _ok(R, "right_e_reversible", f, guards) and \
-                    _ok(R, "right_e_reversible", g, guards):
-                good.append(f)
-        if not good:
-            yield case(R.provenance, None, "not-applicable",
-                       reason="no nonzero idempotent e with both e and 1-e "
-                              "right-reversible-relative")
-            continue
-        sp = _ok(R, "semiprime", None, guards)
-        red = _ok(R, "reduced", None, guards)
-        rev = _ok(R, "reversible", None, guards)
-        # z/12 at e=4 is reversible but not semiprime, so only the
-        # provable directions are asserted: semiprime == reduced, and
-        # reduced implies reversible
-        ok = (sp == red) and (rev or not red)
-        detail = ("semiprime=%s reduced=%s reversible=%s; %d admissible "
-                  "idempotents" % (sp, red, rev, len(good)))
-        yield case.verdict(R.provenance, R.labels[good[0]], ok,
-                           "provable directions disagree", detail=detail)
+        if _ok(R, "right_e_reversible", f, guards) and \
+                _ok(R, "right_e_reversible", g, guards):
+            good.append(f)
+    if not good:
+        yield case(R.provenance, None, "not-applicable",
+                   reason="no nonzero idempotent e with both e and 1-e "
+                          "right-reversible-relative")
+        return
+    sp = _ok(R, "semiprime", None, guards)
+    red = _ok(R, "reduced", None, guards)
+    rev = _ok(R, "reversible", None, guards)
+    # z/12 at e=4 is reversible but not semiprime, so only the
+    # provable directions are asserted: semiprime == reduced, and
+    # reduced implies reversible
+    ok = (sp == red) and (rev or not red)
+    detail = ("semiprime=%s reduced=%s reversible=%s; %d admissible "
+              "idempotents" % (sp, red, rev, len(good)))
+    yield case.verdict(R.provenance, R.labels[good[0]], ok,
+                       "provable directions disagree", detail=detail)
 
 
 # --- prime versus domain ------------------------------------------------------
 
-def _law_prime_domain(case, corpus, guards):
-    for R in _entries(corpus):
-        if R.order > guards.triple_cap:
-            yield case.skip(R, guards, "triple")
-            continue
-        some = next((f for f in _nz_idem(R)
-                     if _ok(R, "right_e_reversible", f, guards)), None)
-        pr = _ok(R, "prime", None, guards)
-        dom = _ok(R, "domain", None, guards)
-        fin = _ok(R, "directly_finite", None, guards)
-        ok = ((pr and some is not None) == dom) and (fin or not dom)
-        detail = ("prime=%s domain=%s directly_finite=%s; reversible-relative "
-                  "witness=%s" % (pr, dom, fin,
-                                  R.labels[some] if some is not None else None))
-        yield case.verdict(R.provenance, None, ok, "domain equivalence or "
-                           "direct finiteness broke", detail=detail)
+def _law_prime_domain(case, R, guards):
+    some = next((f for f in _nz_idem(R)
+                 if _ok(R, "right_e_reversible", f, guards)), None)
+    pr = _ok(R, "prime", None, guards)
+    dom = _ok(R, "domain", None, guards)
+    fin = _ok(R, "directly_finite", None, guards)
+    ok = ((pr and some is not None) == dom) and (fin or not dom)
+    detail = ("prime=%s domain=%s directly_finite=%s; reversible-relative "
+              "witness=%s" % (pr, dom, fin,
+                              R.labels[some] if some is not None else None))
+    yield case.verdict(R.provenance, None, ok, "domain equivalence or "
+                       "direct finiteness broke", detail=detail)
 
 
 # --- minimal idempotents ------------------------------------------------------
 
-def _law_min_abel(case, corpus, guards):
-    for R in _entries(corpus):
-        if R.order > guards.pair_cap:
-            yield case.skip(R, guards)
-            continue
-        mel = [int(x) for x in minimal_left_idempotents(R)]
-        ma = is_left_min_abel(R)
-        leg_rev = all(_ok(R, "right_e_reversible", f, guards) for f in mel)
-        if R.order > guards.triple_cap:
-            leg_sym = None
-        else:
-            leg_sym = all(_ok(R, "e_symmetric", f, guards) for f in mel)
-        ok = (ma == leg_rev) and (leg_sym is None or ma == leg_sym)
-        detail = ("min-abel=%s over %d minimal left idempotents; "
-                  "right-reversible leg=%s; symmetric leg=%s"
-                  % (ma, len(mel), leg_rev,
-                     "skipped" if leg_sym is None else leg_sym))
-        yield case.verdict(R.provenance, None, ok, "legs disagree",
-                           detail=detail)
+def _law_min_abel(case, R, guards):
+    mel = [int(x) for x in minimal_left_idempotents(R)]
+    ma = is_left_min_abel(R)
+    leg_rev = all(_ok(R, "right_e_reversible", f, guards) for f in mel)
+    leg_sym = (None if _guard_skip(guards, "triple", R.order)
+               else all(_ok(R, "e_symmetric", f, guards) for f in mel))
+    ok = (ma == leg_rev) and (leg_sym is None or ma == leg_sym)
+    detail = ("min-abel=%s over %d minimal left idempotents; "
+              "right-reversible leg=%s; symmetric leg=%s"
+              % (ma, len(mel), leg_rev,
+                 "skipped" if leg_sym is None else leg_sym))
+    yield case.verdict(R.provenance, None, ok, "legs disagree",
+                       detail=detail)
 
 
 # --- products -----------------------------------------------------------------
 
-def _law_products(case, corpus, guards):
-    for P in _entries(corpus, "prod"):
-        if len(P.layout.comps) != 2:
-            yield case(P.provenance, None, "skipped",
-                       reason="only two-factor products are swept")
-            continue
-        if P.order > guards.pair_cap:
-            yield case.skip(P, guards)
-            continue
-        F = P.layout.comps
-        space = P.layout.space
-        for e1 in _nz_idem(F[0]):
-            v1 = _ok(F[0], "right_e_reversible", e1, guards)
-            for e2 in _nz_idem(F[1]):
-                v2 = _ok(F[1], "right_e_reversible", e2, guards)
-                E = int(space.compose_scalar([e1, e2]))
-                vp = _ok(P, "right_e_reversible", E, guards)
-                detail = ("components %s -> %s, %s -> %s; product -> %s"
-                          % (F[0].labels[e1], v1, F[1].labels[e2], v2, vp))
-                yield case.verdict(P.provenance, P.labels[E],
-                                   vp == (v1 and v2),
-                                   "componentwise equivalence broke",
-                                   detail=detail)
+def _law_products(case, P, guards):
+    F = P.layout.comps
+    if len(F) != 2:
+        yield case(P.provenance, None, "skipped",
+                   reason="only two-factor products are swept")
+        return
+    space = P.layout.space
+    for e1 in _nz_idem(F[0]):
+        v1 = _ok(F[0], "right_e_reversible", e1, guards)
+        for e2 in _nz_idem(F[1]):
+            v2 = _ok(F[1], "right_e_reversible", e2, guards)
+            E = int(space.compose_scalar([e1, e2]))
+            vp = _ok(P, "right_e_reversible", E, guards)
+            detail = ("components %s -> %s, %s -> %s; product -> %s"
+                      % (F[0].labels[e1], v1, F[1].labels[e2], v2, vp))
+            yield case.verdict(P.provenance, P.labels[E], vp == (v1 and v2),
+                               "componentwise equivalence broke",
+                               detail=detail)
 
 
 # --- lifting along a quotient ---------------------------------------------------
 
-def _law_quotient_lift(case, corpus, guards):
-    for Q in _entries(corpus, "quot"):
-        base = Q.layout.base
-        I = Q._cache["ideal"]
-        proj = Q.layout.proj
-        sq = [int(x) for x in I
-              if int(x) != base.zero
-              and int(base.mul[x, x]) == base.zero]
-        if sq:
-            yield case(Q.provenance, None, "not-applicable", witness=(sq[0],),
-                       witness_labels=(base.labels[sq[0]],),
-                       reason="the ideal has a nonzero square-zero element, "
-                              "so it is not reduced as a rng")
+def _law_quotient_lift(case, Q, guards):
+    base = Q.layout.base
+    proj = Q.layout.proj
+    sq = [int(x) for x in Q._cache["ideal"]
+          if int(x) != base.zero and int(base.mul[x, x]) == base.zero]
+    if sq:
+        yield case(Q.provenance, None, "not-applicable", witness=(sq[0],),
+                   witness_labels=(base.labels[sq[0]],),
+                   reason="the ideal has a nonzero square-zero element, "
+                          "so it is not reduced as a rng")
+        return
+    for e in _nz_idem(base):
+        eb = int(proj[e])
+        if eb == Q.zero:
+            yield case(Q.provenance, base.labels[e], "not-applicable",
+                       reason="the idempotent falls into the ideal")
             continue
-        if base.order > guards.pair_cap:
-            yield case.skip(Q, guards, order=base.order)
+        if not _ok(Q, "right_e_reversible", eb, guards):
+            yield case(Q.provenance, base.labels[e], "holds",
+                       detail="premise fails: the quotient is not right "
+                              "reversible relative to %s" % Q.labels[eb])
             continue
-        for e in _nz_idem(base):
-            eb = int(proj[e])
-            if eb == Q.zero:
-                yield case(Q.provenance, base.labels[e], "not-applicable",
-                           reason="the idempotent falls into the ideal")
-                continue
-            if not _ok(Q, "right_e_reversible", eb, guards):
-                yield case(Q.provenance, base.labels[e], "holds",
-                           detail="premise fails: the quotient is not right "
-                                  "reversible relative to %s" % Q.labels[eb])
-                continue
-            lift = _ok(base, "right_e_reversible", e, guards)
-            semi = is_left_semicentral(base, e)
-            detail = ("quotient reversible relative to %s; base lift=%s, "
-                      "left semicentral=%s" % (Q.labels[eb], lift, semi))
-            yield case.verdict(Q.provenance, base.labels[e], lift and semi,
-                               "conclusion fails under a true premise",
-                               detail=detail)
+        lift = _ok(base, "right_e_reversible", e, guards)
+        semi = is_left_semicentral(base, e)
+        detail = ("quotient reversible relative to %s; base lift=%s, "
+                  "left semicentral=%s" % (Q.labels[eb], lift, semi))
+        yield case.verdict(Q.provenance, base.labels[e], lift and semi,
+                           "conclusion fails under a true premise",
+                           detail=detail)
 
 
 # --- quotient by a right annihilator --------------------------------------------
@@ -457,7 +399,7 @@ _ANN_FIXTURES = (
 )
 
 
-def _law_annihilator_quotient(case, corpus, guards):
+def _law_annihilator_quotient(case, guards):
     for rtext, jtext in _ANN_FIXTURES:
         R = build_expr(rtext, guards)
         j = resolve_element(R, jtext)
@@ -500,40 +442,34 @@ def _law_annihilator_quotient(case, corpus, guards):
 
 # --- unitalization ---------------------------------------------------------------
 
-def _law_dorroh(case, corpus, guards):
-    for D in _entries(corpus, "dorroh"):
-        base, S = D.layout.comps
-        m = S.layout.members
-        cen = set(int(x) for x in center(base))
-        if not all(int(x) in cen for x in m):
-            yield case(D.provenance, None, "not-applicable",
-                       reason="the adjoined scalars are not central in the "
-                              "base")
-            continue
-        if D.order > guards.pair_cap:
-            yield case.skip(D, guards)
-            continue
-        isid = np.zeros(base.order, dtype=bool)
-        isid[idempotents(base)] = True
-        expect = isid[base.add[:, m]] & isid[m][None, :]
-        actual = np.zeros(D.order, dtype=bool)
-        actual[idempotents(D)] = True
-        shape_ok = bool(np.array_equal(actual.reshape(base.order, len(m)),
-                                       expect))
-        yield case.verdict(D.provenance, None, shape_ok,
-                           "idempotent characterization broke",
-                           detail="idempotent shape checked over %d pairs: "
-                                  "(a, b) idempotent iff a+b and b are"
-                                  % D.order)
-        space = D.layout.space
-        for e in _nz_idem(base):
-            De = int(space.compose_scalar([e, S.zero]))
-            vd = _ok(D, "right_e_reversible", De, guards)
-            vb = _ok(base, "right_e_reversible", e, guards)
-            detail = ("base idempotent %s -> %s; extension -> %s"
-                      % (base.labels[e], vb, vd))
-            yield case.verdict(D.provenance, D.labels[De], vd == vb,
-                               "transfer equivalence broke", detail=detail)
+def _law_dorroh(case, D, guards):
+    base, S = D.layout.comps
+    m = S.layout.members
+    cen = set(int(x) for x in center(base))
+    if not all(int(x) in cen for x in m):
+        yield case(D.provenance, None, "not-applicable",
+                   reason="the adjoined scalars are not central in the base")
+        return
+    isid = np.zeros(base.order, dtype=bool)
+    isid[idempotents(base)] = True
+    expect = isid[base.add[:, m]] & isid[m][None, :]
+    actual = np.zeros(D.order, dtype=bool)
+    actual[idempotents(D)] = True
+    shape_ok = bool(np.array_equal(actual.reshape(base.order, len(m)),
+                                   expect))
+    yield case.verdict(D.provenance, None, shape_ok,
+                       "idempotent characterization broke",
+                       detail="idempotent shape checked over %d pairs: "
+                              "(a, b) idempotent iff a+b and b are" % D.order)
+    space = D.layout.space
+    for e in _nz_idem(base):
+        De = int(space.compose_scalar([e, S.zero]))
+        vd = _ok(D, "right_e_reversible", De, guards)
+        vb = _ok(base, "right_e_reversible", e, guards)
+        detail = ("base idempotent %s -> %s; extension -> %s"
+                  % (base.labels[e], vb, vd))
+        yield case.verdict(D.provenance, D.labels[De], vd == vb,
+                           "transfer equivalence broke", detail=detail)
 
 
 # --- constrained 3x3 extension ----------------------------------------------------
@@ -558,74 +494,67 @@ def _h_families(base, e, s, t, sinv, tinv):
             (z, mi(int(base.neg[sinv]), e), mi(tinv, e))]
 
 
-def _law_h_ring(case, corpus, guards):
-    for H in _entries(corpus, "H"):
-        base = H.layout.base
-        s, t = H._cache["params"]
-        sinv = unit_inverse(base, s)
-        tinv = unit_inverse(base, t)
-        if sinv is None or tinv is None:
-            yield case(H.provenance, None, "not-applicable",
-                       reason="the catalogued families need unit parameters")
+def _law_h_ring(case, H, guards):
+    base = H.layout.base
+    s, t = H._cache["params"]
+    sinv = unit_inverse(base, s)
+    tinv = unit_inverse(base, t)
+    if sinv is None or tinv is None:
+        yield case(H.provenance, None, "not-applicable",
+                   reason="the catalogued families need unit parameters")
+        return
+    space = H.layout.space
+    seen = set()
+    for e in (int(x) for x in idempotents(base)):
+        fams = _h_families(base, e, s, t, sinv, tinv)
+        idxs = list(dict.fromkeys(
+            int(space.compose_scalar(list(c))) for c in fams))
+        seen.update(idxs)
+        if e == base.zero:
             continue
-        if H.order > guards.pair_cap:
-            yield case.skip(H, guards)
-            continue
-        space = H.layout.space
-        seen = set()
-        for e in (int(x) for x in idempotents(base)):
-            fams = _h_families(base, e, s, t, sinv, tinv)
-            idxs = list(dict.fromkeys(
-                int(space.compose_scalar(list(c))) for c in fams))
-            seen.update(idxs)
-            if e == base.zero:
+        ve = _ok(base, "right_e_reversible", e, guards)
+        for E in idxs:
+            if int(H.mul[E, E]) != E:
+                yield case(H.provenance, H.labels[E], "violated",
+                           reason="a catalogued element is not idempotent")
                 continue
-            ve = _ok(base, "right_e_reversible", e, guards)
-            for E in idxs:
-                if int(H.mul[E, E]) != E:
-                    yield case(H.provenance, H.labels[E], "violated",
-                               reason="a catalogued element is not "
-                                      "idempotent")
-                    continue
-                vE = _ok(H, "right_e_reversible", E, guards)
-                detail = ("base idempotent %s -> %s; extension -> %s"
-                          % (base.labels[e], ve, vE))
-                yield case.verdict(H.provenance, H.labels[E], vE == ve,
-                                   "transfer equivalence broke",
-                                   detail=detail)
-        total = len(idempotents(H))
-        yield case(H.provenance, None, "holds",
-                   detail="catalogued families cover %d of %d idempotents; "
-                          "coverage is reported, not asserted"
-                          % (len(seen), total))
+            vE = _ok(H, "right_e_reversible", E, guards)
+            detail = ("base idempotent %s -> %s; extension -> %s"
+                      % (base.labels[e], ve, vE))
+            yield case.verdict(H.provenance, H.labels[E], vE == ve,
+                               "transfer equivalence broke", detail=detail)
+    total = len(idempotents(H))
+    yield case(H.provenance, None, "holds",
+               detail="catalogued families cover %d of %d idempotents; "
+                      "coverage is reported, not asserted"
+                      % (len(seen), total))
 
 
 # --- twisted triangular extension ---------------------------------------------------
 
-def _law_twisted_u2(case, corpus, guards):
-    for T in _entries(corpus, "twist"):
-        base = T.layout.base
-        images = T._cache["images"]
-        if T.order > guards.pair_cap:
-            yield case.skip(T, guards)
-            continue
-        space = T.layout.space
-        for e in _nz_idem(base):
-            E = int(space.compose_scalar([e, base.zero, e]))
-            vT = _ok(T, "right_e_reversible", E, guards)
-            vR = _ok(base, "right_e_reversible", e, guards)
-            killed = images[e] == base.zero
-            detail = ("twisted=%s base=%s; the map sends %s to %s (%s)"
-                      % (vT, vR, base.labels[e], base.labels[images[e]],
-                         "two-way" if killed else "forward only"))
-            if vT and not vR:
-                reason = "the forward direction broke"
-            elif killed and vT != vR:
-                reason = "the map kills the idempotent yet the verdicts differ"
-            else:
-                reason = None
-            yield case.verdict(T.provenance, T.labels[E], reason is None,
-                               reason, detail=detail)
+def _law_twisted_u2(case, T, guards):
+    base = T.layout.base
+    images = T._cache["images"]
+    space = T.layout.space
+    for e in _nz_idem(base):
+        E = int(space.compose_scalar([e, base.zero, e]))
+        vT = _ok(T, "right_e_reversible", E, guards)
+        vR = _ok(base, "right_e_reversible", e, guards)
+        killed = images[e] == base.zero
+        detail = ("twisted=%s base=%s; the map sends %s to %s (%s)"
+                  % (vT, vR, base.labels[e], base.labels[images[e]],
+                     "two-way" if killed else "forward only"))
+        if vT and not vR:
+            reason = "the forward direction broke"
+        elif killed and vT != vR:
+            reason = "the map kills the idempotent yet the verdicts differ"
+        else:
+            reason = None
+        yield case.verdict(T.provenance, T.labels[E], reason is None,
+                           reason, detail=detail)
+
+
+def _twisted_u2_rejects(case, guards):
     # a table that fixes 0 and 1 but breaks addition must be rejected
     bad = "twist(Z(4),hom[#0,#1,#3,#2])"
     try:
@@ -847,7 +776,7 @@ def _scene_k_nested_product(case, guards):
                  witness=v.witness, witness_labels=v.witness_labels)
 
 
-def _law_examples(case, corpus, guards):
+def _law_examples(case, guards):
     for scenes in (_scenes_simple, _scene_e_extension, _scene_f_nested,
                    _scene_g_constant_diag, _scene_j_anti_delta,
                    _scene_k_nested_product):
@@ -856,79 +785,110 @@ def _law_examples(case, corpus, guards):
 
 # --- law table and runners -------------------------------------------------------------
 
-# name -> (statement, checker), in canonical order; see _Cases
+class _Law(NamedTuple):
+    """One law.  check(case, R, guards) runs on each built corpus ring
+    whose outermost constructor is named constructor (any when None)
+    and which the law's guard, a "pair" or "triple" sweep guard, admits:
+    the guard sizes the base ring when of_base, else R itself.  An entry
+    past the guard gets one guard-skip case instead.  fixtures(case,
+    guards) then runs once on rings it builds itself.  Both yield only
+    cases made by case, the law's factory (see _Cases)."""
+
+    statement: str
+    check: Optional[Callable] = None
+    fixtures: Optional[Callable] = None
+    guard: str = "pair"
+    constructor: Optional[str] = None
+    of_base: bool = False
+
+
+# in canonical order
 _LAWS = {
-    "ere": ("right reversibility relative to e holds exactly when e is left "
-            "semicentral and the corner ring at e is reversible; on the left "
-            "it needs right semicentrality instead",
-            _law_ere),
-    "semiprime_collapse": ("on a semiprime ring the four relative conditions "
-                           "(right reversible, right reduced, symmetric, "
-                           "right semicommutative) agree at every nonzero "
-                           "idempotent",
-                           _law_semiprime_collapse),
-    "e_and_complement": ("when some nonzero e and its nonzero complement 1-e "
-                         "both admit right reversibility, semiprime and "
-                         "reduced coincide and reduced forces reversible",
-                         _law_e_and_complement),
-    "prime_domain": ("a ring is a domain exactly when it is prime and right "
-                     "reversible relative to some nonzero idempotent; domains "
-                     "are directly finite",
-                     _law_prime_domain),
-    "min_abel": ("every minimal left idempotent is left semicentral exactly "
-                 "when the ring is right reversible relative to each of "
-                 "them, and exactly when it is symmetric relative to each",
-                 _law_min_abel),
-    "products": ("a two-factor product is right reversible relative to a "
-                 "componentwise idempotent exactly when both factors are "
-                 "relative to their components",
-                 _law_products),
-    "quotient_lift": ("if the quotient is right reversible relative to the "
-                      "image of e and the ideal has no nonzero square-zero "
-                      "elements, the base ring is right reversible relative "
-                      "to e and e is left semicentral",
-                      _law_quotient_lift),
-    "annihilator_quotient": ("for a ring symmetric relative to e, the "
-                             "quotient by a right annihilator ideal stays "
-                             "right reversible relative to the image of e",
-                             _law_annihilator_quotient),
-    "dorroh": ("in the extension adjoining central scalars, (a, b) is "
-               "idempotent exactly when a+b and b are, and right "
-               "reversibility transfers between e and (e, 0)",
-               _law_dorroh),
-    "h_ring": ("each catalogued matrix is idempotent in the constrained 3x3 "
-               "extension, and right reversibility at the base idempotent "
-               "matches right reversibility at each catalogued matrix",
-               _law_h_ring),
-    "twisted_u2": ("right reversibility at the doubled idempotent of the "
-                   "twisted triangular extension forces it in the base; when "
-                   "the twisting map kills the idempotent the two verdicts "
-                   "coincide",
-                   _law_twisted_u2),
-    "examples": ("pinned verdicts for the fixed example scenes reproduce "
-                 "exactly under the sweep engine",
-                 _law_examples),
+    "ere": _Law(
+        "right reversibility relative to e holds exactly when e is left "
+        "semicentral and the corner ring at e is reversible; on the left "
+        "it needs right semicentrality instead", _law_ere),
+    "semiprime_collapse": _Law(
+        "on a semiprime ring the four relative conditions (right "
+        "reversible, right reduced, symmetric, right semicommutative) "
+        "agree at every nonzero idempotent", _law_semiprime_collapse),
+    "e_and_complement": _Law(
+        "when some nonzero e and its nonzero complement 1-e both admit "
+        "right reversibility, semiprime and reduced coincide and reduced "
+        "forces reversible", _law_e_and_complement),
+    "prime_domain": _Law(
+        "a ring is a domain exactly when it is prime and right reversible "
+        "relative to some nonzero idempotent; domains are directly finite",
+        _law_prime_domain, guard="triple"),
+    "min_abel": _Law(
+        "every minimal left idempotent is left semicentral exactly when "
+        "the ring is right reversible relative to each of them, and "
+        "exactly when it is symmetric relative to each", _law_min_abel),
+    "products": _Law(
+        "a two-factor product is right reversible relative to a "
+        "componentwise idempotent exactly when both factors are relative "
+        "to their components", _law_products, constructor="prod"),
+    "quotient_lift": _Law(
+        "if the quotient is right reversible relative to the image of e "
+        "and the ideal has no nonzero square-zero elements, the base ring "
+        "is right reversible relative to e and e is left semicentral",
+        _law_quotient_lift, constructor="quot", of_base=True),
+    "annihilator_quotient": _Law(
+        "for a ring symmetric relative to e, the quotient by a right "
+        "annihilator ideal stays right reversible relative to the image "
+        "of e", fixtures=_law_annihilator_quotient),
+    "dorroh": _Law(
+        "in the extension adjoining central scalars, (a, b) is idempotent "
+        "exactly when a+b and b are, and right reversibility transfers "
+        "between e and (e, 0)", _law_dorroh, constructor="dorroh"),
+    "h_ring": _Law(
+        "each catalogued matrix is idempotent in the constrained 3x3 "
+        "extension, and right reversibility at the base idempotent matches "
+        "right reversibility at each catalogued matrix", _law_h_ring,
+        constructor="H"),
+    "twisted_u2": _Law(
+        "right reversibility at the doubled idempotent of the twisted "
+        "triangular extension forces it in the base; when the twisting map "
+        "kills the idempotent the two verdicts coincide", _law_twisted_u2,
+        _twisted_u2_rejects, constructor="twist"),
+    "examples": _Law(
+        "pinned verdicts for the fixed example scenes reproduce exactly "
+        "under the sweep engine", fixtures=_law_examples),
 }
 
 LAW_ORDER = tuple(_LAWS)
 
-# laws that build their own fixture rings and never read the corpus
-_FIXTURE_LAWS = ("annihilator_quotient", "examples")
-
 
 def reads_corpus(laws) -> bool:
     """Whether any of the named laws reads the corpus."""
-    return any(law not in _FIXTURE_LAWS for law in laws)
+    return any(_LAWS[law].check is not None for law in laws)
 
 
 def run_law(law: str, corpus: Corpus,
             guards: Guards = DEFAULT_GUARDS) -> LawReport:
-    """Sweep one law over the corpus."""
+    """Sweep one law over the corpus: its checker on each entry within
+    its guard, one guard-skip case for each entry past it, then its
+    fixtures.  An entry left unbuilt is sized by its order and never
+    checked; one only parsed (ring and order None) is passed over."""
     (law,) = select_laws([law])
     t0 = time.perf_counter()
-    statement, checker = _LAWS[law]
-    cases = list(checker(_Cases(law), corpus, guards))
-    return LawReport(law, statement, cases, time.perf_counter() - t0)
+    spec, case, cases = _LAWS[law], _Cases(law), []
+    if spec.check is not None:
+        for ent in corpus.entries:
+            R = ent.ring
+            if spec.constructor not in (None, ent.node.name) or (
+                    R is None and ent.order is None):
+                continue
+            sized = ent if R is None else R.layout.base if spec.of_base else R
+            skip = _guard_skip(guards, spec.guard, sized.order)
+            if skip:
+                cases.append(case(serialize(ent.node), None, "skipped",
+                                  reason=skip))
+            else:
+                cases.extend(spec.check(case, R, guards))
+    if spec.fixtures is not None:
+        cases.extend(spec.fixtures(case, guards))
+    return LawReport(law, spec.statement, cases, time.perf_counter() - t0)
 
 
 def select_laws(only=None) -> list:

@@ -309,15 +309,32 @@ def test_usage_error_exits_two():
     assert code == 2
 
 
-def test_module_entry_point():
-    # the child finds the package where this process found it
+def child(argv, **kwargs):
+    """python -m finring argv in a child process, which finds the package
+    where this process found it."""
     src = str(Path(finring.__file__).parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "finring", "describe", "Z(6)"],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    return subprocess.run([sys.executable, "-m", "finring", *argv],
+                          env=dict(os.environ, PYTHONPATH=path), **kwargs)
+
+
+def test_module_entry_point():
+    proc = child(["describe", "Z(6)"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "Z(6)" in proc.stdout
+
+
+def test_a_closed_pipe_exits_141_and_prints_nothing():
+    # the read end is closed before the child starts, so its stdout
+    # fails on the first flush, however short the output
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = child(["survey", "Z(4)"], stdout=w, stderr=subprocess.PIPE,
+                     text=True)
+    finally:
+        os.close(w)
+    assert (proc.returncode, proc.stderr) == (141, "")
 
 
 def test_cache_flag_round_trip(tmp_path):

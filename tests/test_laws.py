@@ -11,11 +11,12 @@ import finring.construct as construct
 import finring.laws as laws
 from finring import (
     DEFAULT_GUARDS, LAW_ORDER, Corpus, Guards, ParseError, RingError,
-    build_expr, corpus_from_text, default_corpus, load_corpus,
+    RingTable, build_expr, corpus_from_text, default_corpus, load_corpus,
     replay_witness, run_law, run_laws,
 )
 from finring.cli import main as cli_main
 from finring.construct import expr_order
+from finring.core import _guard_skip
 from finring.laws import reads_corpus
 
 from conftest import built_whole
@@ -98,10 +99,12 @@ def test_h_ring_reports_catalogue_coverage(law_reports):
 
 
 def test_twisted_law_keeps_the_rejected_fixture(law_reports):
-    skipped = [c for c in law_reports["twisted_u2"].cases
-               if c.status == "skipped"]
+    cases = law_reports["twisted_u2"].cases
+    skipped = [c for c in cases if c.status == "skipped"]
     assert len(skipped) == 1
     assert "construction rejected" in skipped[0].reason
+    # the fixture runs after every corpus ring
+    assert cases[-1] is skipped[0]
 
 
 def test_annihilator_law_marks_improper_ideal(law_reports):
@@ -260,8 +263,17 @@ twist(Z(3),hom[#0,#1,#2])
 """
 
 
+def with_checks(monkeypatch, wrap):
+    """Put wrap(name, check) in place of each law's per-ring checker."""
+    for name, law in laws._LAWS.items():
+        if law.check is not None:
+            monkeypatch.setitem(laws._LAWS, name,
+                                law._replace(check=wrap(name, law.check)))
+
+
 @pytest.mark.parametrize("pair, triple", [(16, 64), (64, 16), (16, 16)])
-def test_entries_past_every_guard_are_left_unbuilt(pair, triple):
+def test_entries_past_every_guard_are_left_unbuilt(pair, triple,
+                                                   monkeypatch):
     guards = Guards(pair_cap=pair, triple_cap=triple)
     corpus = corpus_from_text(_EDGE_CORPUS, guards=guards)
     unbuilt = {e.text for e in corpus.entries if e.ring is None}
@@ -275,12 +287,56 @@ def test_entries_past_every_guard_are_left_unbuilt(pair, triple):
     for rep, full in zip(run_laws(corpus, guards, read),
                          run_laws(whole, guards, read)):
         assert rep.cases == full.cases, rep.law
-    stand_ins = [R for R in laws._entries(corpus)
-                 if isinstance(R, laws._Unbuilt)]
-    assert sorted(R.provenance for R in stand_ins) == sorted(unbuilt)
-    for R in stand_ins:
-        with pytest.raises(AttributeError):
-            R.mul
+    # and no checker is handed an unbuilt entry
+    handed = []
+
+    def recording(name, check):
+        def recorded(case, R, guards):
+            handed.append(R)
+            return check(case, R, guards)
+        return recorded
+    with_checks(monkeypatch, recording)
+    run_laws(corpus, guards, read)
+    assert handed and all(isinstance(R, RingTable) for R in handed)
+    assert not {R.provenance for R in handed} & unbuilt
+
+
+# one entry past the pair cap 16 for each constructor a law filters on.
+# The three-factor product, the quotient by a square-zero ideal and the
+# H with a non-unit parameter fail their law's applicability test, which
+# the guard comes before; the quotient (order 5) is past the cap by its
+# base (order 25) alone
+_OVER_CAP = {
+    "products": ("prod(Z(2),Z(2),Z(5))",),
+    "quotient_lift": ("quot(Z(25),5)",),
+    "dorroh": ("dorroh(Z(5),sub[])",),
+    "h_ring": ("H(Z(3),1,1)", "H(Z(4),2,1)"),
+    "twisted_u2": ("twist(Z(3),hom[#0,#1,#2])",),
+}
+
+
+def test_the_guard_comes_before_each_law_reads_the_ring(monkeypatch):
+    guards = Guards(pair_cap=16, triple_cap=16)
+    corpus = corpus_from_text("\n".join(sum(_OVER_CAP.values(), ())),
+                              guards=guards)
+
+    def refusing(name, check):
+        def refused(case, R, guards):
+            raise AssertionError("%s read %s" % (name, R.provenance))
+        return refused
+    with_checks(monkeypatch, refusing)
+    for law, texts in _OVER_CAP.items():
+        rings = [build_expr(text) for text in texts]
+        sized = [R.layout.base if law == "quotient_lift" else R
+                 for R in rings]
+        cases = run_law(law, corpus, guards).cases
+        if law == "twisted_u2":
+            cases = cases[:-1]      # the rejected fixture
+        assert [(c.ring, c.idempotent, c.status, c.reason)
+                for c in cases] == [
+            (R.provenance, None, "skipped",
+             _guard_skip(guards, "pair", S.order))
+            for R, S in zip(rings, sized)], law
 
 
 def test_scene_e_reads_the_h_table_through_its_formula():

@@ -15,6 +15,7 @@ import pytest
 from finring import (RingError, build_expr, build_ring, construct, core,
                      predicates)
 
+import oracle
 from conftest import CHUNKS, SMALL_RINGS
 from test_construct import assert_builds_match_the_formula
 from test_dsl import SAMPLES
@@ -27,7 +28,8 @@ from test_predicates import (DOMAIN_BREAKS, FINITE_BREAKS, SCANS,
                              assert_finite_witness_matches_naive,
                              assert_scans_answer_as_the_whole_table,
                              assert_zero_pairs_match_argwhere, broken_ring,
-                             fresh, run_to_the_end, whole_table_minima)
+                             fresh, instances, relabelled, run_to_the_end,
+                             whole_table_minima)
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +151,39 @@ def symm_scan_stand_in(offset=True, last=False, drop_last=False):
                 yield rows.stop
         return predicates._Scan(n, folds)
     return _symm_scan
+
+
+def rel_stand_in(drop_last=False, prefilter_only=False):
+    """predicates._rel; with drop_last no pair is tested on the last
+    additive generator, and with prefilter_only the pairs are those
+    with (a*1)*b = 0, tested on no generator."""
+    def _rel(R):
+        rel = np.argwhere(R.mul[R.mul[:, R.one]] == R.zero)
+        gens = core._additive_generators(R).gens
+        for g in [] if prefilter_only else gens[:-1] if drop_last else gens:
+            rel = rel[R.mul[R.mul[rel[:, 0], g], rel[:, 1]] == R.zero]
+        return rel
+    return _rel
+
+
+def ann_generators_stand_in(drop_last=False, one_class=False):
+    """predicates._ann_generators; with drop_last each annihilator's
+    generating set loses its last generator, and with one_class every
+    element is put in the class of r.ann(0), the whole ring."""
+    def _ann_generators(R):
+        anns, cls = np.unique(R.mul == R.zero, axis=0, return_inverse=True)
+        cls = cls.ravel()
+        if one_class:
+            cls[:] = cls[R.zero]
+        sets = [core._subgroup_generators(R, ann).gens[:-1 if drop_last
+                                                       else None]
+                for ann in anns]
+        width = np.array([len(g) for g in sets])
+        gens = np.full((len(sets), width.max()), R.zero, dtype=R.mul.dtype)
+        for k, g in enumerate(sets):
+            gens[k, :len(g)] = g
+        return gens, width, cls.astype(R.mul.dtype)
+    return _ann_generators
 
 
 def negation_stand_in(blocks=every_block, offset=True):
@@ -341,6 +376,18 @@ GENERATOR_MUTATIONS = {
     "drops the last generator": {"drop_last": True},
 }
 
+REL_MUTATIONS = {
+    "unbroken": {},
+    "drops the last additive generator": {"drop_last": True},
+    "keeps only the (a*1)*b prefilter": {"prefilter_only": True},
+}
+
+ANN_MUTATIONS = {
+    "unbroken": {},
+    "drops each set's last generator": {"drop_last": True},
+    "puts every element in one annihilator class": {"one_class": True},
+}
+
 WALK_MUTATIONS = {
     "unbroken": {},
     "records the wrong parent for the last coset": {"wrong_parent": True},
@@ -395,6 +442,36 @@ def finite_checks(rings):
     return [functools.partial(assert_finite_witness_matches_naive,
                               broken_ring(Z7, [(a, b, Z7.one)]), c)
             for a, b in FINITE_BREAKS for c in CHUNKS]
+
+
+def assert_verdicts_match_the_oracle(R, props):
+    """On a fresh copy of R, each of props decides as tests/oracle.py
+    does, at each nonzero idempotent when it is relative to one."""
+    S = fresh(R)
+    for prop in props:
+        for e in instances(R, prop):
+            verdict = predicates.check_property(S, prop, e)
+            assert ((verdict.status == "holds")
+                    == oracle.naive_check(R, prop, e)), (prop, e)
+
+
+def one_first(R):
+    """R with its one renamed index 1, so that the coset walk takes 1 as
+    its first generator: on R itself the last generator is often the
+    one that 1 and the others sum to, so a*g*b = 0 on it follows from
+    the rest."""
+    perm = np.arange(R.order)
+    perm[[1, R.one]] = perm[[R.one, 1]]
+    return relabelled(R, perm)
+
+
+def oracle_checks(*props):
+    """Checks for a kernel that props read: their verdicts on each small
+    ring, and on it with its one first, against the oracle."""
+    def checks(rings):
+        return [functools.partial(assert_verdicts_match_the_oracle, R, props)
+                for t in SMALL_RINGS for R in (rings[t], one_first(rings[t]))]
+    return checks
 
 
 def negation_checks(rings):
@@ -461,6 +538,13 @@ KERNELS = {
                         BLOCK_MUTATIONS),
     "build_ring": (core, "_negation", negation_stand_in, negation_checks,
                    BLOCK_MUTATIONS),
+    "_rel": (predicates, "_rel", rel_stand_in,
+             oracle_checks("reflexive", "right_idempotent_reflexive",
+                           "prime"), REL_MUTATIONS),
+    "_ann_generators": (predicates, "_ann_generators",
+                        ann_generators_stand_in,
+                        oracle_checks("symmetric", "e_symmetric"),
+                        ANN_MUTATIONS),
     "_Scan": (predicates, "_Scan", scan_stand_in, scan_checks,
               SCAN_MUTATIONS),
     "_rev_scan": (predicates, "_rev_scan", zero_pair_scan(rev_folds),
