@@ -1,10 +1,11 @@
 """Command line front end: check, survey, laws, describe.
 
 Exit codes: 0 ok (a failing property verdict is still 0 for check), 1
-law violations, 2 usage or parse errors, 3 size guard aborts, 141 (128
-+ SIGPIPE) when the reader of stdout went away.  Machine reports are a
-single JSON object with stable key order and no floats, so
-byte-identical reruns and load/dump round-trips hold.
+law violations, 2 usage or parse errors, 3 size guard aborts, 4 out of
+memory, 70 an internal fault (traceback on stderr), 130 interrupted,
+141 (128 + SIGPIPE) when the reader of stdout went away.  Machine
+reports are a single JSON object with stable key order and no floats,
+so byte-identical reruns and load/dump round-trips hold.
 """
 from __future__ import annotations
 
@@ -14,10 +15,9 @@ import os
 import sys
 
 from .core import DEFAULT_GUARDS, Guards, RingError, SizeGuardError
-from .core import verify_axioms
+from .core import prove_axioms
 from .construct import build_expr
 from .dsl import ParseError, parse
-from .expr import serialize
 from .laws import (LAW_ORDER, default_corpus, load_corpus, reads_corpus,
                    run_laws, select_laws)
 from .predicates import (E_PROPS, GLOBAL_PROPS, center, check_property,
@@ -45,34 +45,23 @@ def _guards(args) -> Guards:
                   triple_cap=args.max_triple_order)
 
 
-def _emit(args, payload: dict):
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
+def _emit(args, ring, results):
+    """Print the one JSON report of a run; ring is its provenance, or
+    None for laws."""
+    print(json.dumps({"schema": SCHEMA, "command": args.echo, "ring": ring,
+                      "results": results, "timings": None}, indent=2))
 
 
-def _payload(args, ring_text, results) -> dict:
-    return {
-        "schema": SCHEMA,
-        "command": args.echo,
-        "ring": ring_text,
-        "results": results,
-        "timings": None,
-    }
-
-
-def _build(args, node):
-    return build_expr(node, _guards(args)), serialize(node)
-
-
-def _verify_note(ring, guards):
-    try:
-        report = verify_axioms(ring, guards)
-        if not report.passed:
-            raise RingError("axiom check failed on %s: %s"
-                            % (ring.provenance, report.violations))
-        return "ok"
-    except SizeGuardError as err:
-        return "skipped (%s)" % err
+def _proven(args, node, e=None):
+    """Build node and prove it a ring: (ring, guards, axioms status).
+    An idempotent literal e is resolved between the two, so a bad --e
+    is refused before the proof's cost."""
+    guards = _guards(args)
+    ring = build_expr(node, guards)
+    if e is not None:
+        distinguished_idempotent(ring, e)
+    skip = prove_axioms(ring, guards)
+    return ring, guards, "ok" if skip is None else "skipped (%s)" % skip
 
 
 def _clip(text, width=44):
@@ -82,16 +71,12 @@ def _clip(text, width=44):
 def cmd_check(args) -> int:
     node = parse(args.expr)
     prop = property_name(args.property, args.e)    # before any build
-    ring, canon = _build(args, node)
-    if args.e is not None:
-        distinguished_idempotent(ring, args.e)     # before the axiom check
-    guards = _guards(args)
-    axioms = _verify_note(ring, guards)
+    ring, guards, axioms = _proven(args, node, args.e)
     verdict = check_property(ring, prop, args.e, guards)
     results = [{"kind": "axioms", "status": axioms},
                verdict.to_dict()]
     if args.format == "json":
-        _emit(args, _payload(args, canon, results))
+        _emit(args, ring.provenance, results)
     else:
         print("ring: %s  (order %d)" % (ring.provenance, ring.order))
         print("axioms: %s" % axioms)
@@ -110,9 +95,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_survey(args) -> int:
-    ring, canon = _build(args, parse(args.expr))
-    guards = _guards(args)
-    axioms = _verify_note(ring, guards)
+    ring, guards, axioms = _proven(args, parse(args.expr))
     verdicts = survey(ring, guards)
     globals_res = [v.to_dict() for v in verdicts if v.idempotent is None]
     status = {(v.idempotent, v.property): v.status for v in verdicts}
@@ -132,7 +115,7 @@ def cmd_survey(args) -> int:
                {"kind": "global", "verdicts": globals_res},
                {"kind": "matrix", "rows": rows}]
     if args.format == "json":
-        _emit(args, _payload(args, canon, results))
+        _emit(args, ring.provenance, results)
         return 0
     print("ring: %s  (order %d, %d idempotents)"
           % (ring.provenance, ring.order, len(rows)))
@@ -167,7 +150,7 @@ def cmd_laws(args) -> int:
     violated = sum(r.totals["violated"] for r in reports)
     results = [r.to_dict() for r in reports]
     if args.format == "json":
-        _emit(args, _payload(args, None, results))
+        _emit(args, None, results)
         return 1 if violated else 0
     print("corpus: %s (%d entries%s)"
           % (corpus.source, len(corpus.entries),
@@ -191,9 +174,7 @@ def cmd_laws(args) -> int:
 
 
 def cmd_describe(args) -> int:
-    ring, canon = _build(args, parse(args.expr))
-    guards = _guards(args)
-    axioms = _verify_note(ring, guards)
+    ring, guards, axioms = _proven(args, parse(args.expr))
     ids = [int(x) for x in idempotents(ring)]
     nil = [int(x) for x in nilpotents(ring)]
     cen = [int(x) for x in center(ring)]
@@ -217,7 +198,7 @@ def cmd_describe(args) -> int:
     results = [{"kind": "axioms", "status": axioms}, summary,
                {"kind": "global", "verdicts": globals_res}]
     if args.format == "json":
-        _emit(args, _payload(args, canon, results))
+        _emit(args, ring.provenance, results)
         return 0
     print("ring: %s  (order %d)" % (ring.provenance, ring.order))
     print("axioms: %s" % axioms)
@@ -319,6 +300,16 @@ def main(argv=None) -> int:
     except OSError as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
+    except MemoryError as err:
+        print("out of memory: %s" % (err or "no message"), file=sys.stderr)
+        return 4
+    except KeyboardInterrupt:
+        return 130
+    except Exception:
+        # an internal fault: keep its traceback for the bug report
+        import traceback
+        traceback.print_exc()
+        return 70
 
 
 def entry():

@@ -197,6 +197,8 @@ class CoordCodec:
     n.  Zeros and derived entries lie in base = comps[0]; family names
     the literal in error messages.  The one shape gives the labels of
     every element (labels) and the parsing of every literal (encode).
+    A constructor whose ring the laws read back keeps its construction
+    facts here: h_ring its parameters (params), twisted_u2 its images.
     """
 
     def __init__(self, shape, comps, family: str = None):
@@ -338,9 +340,6 @@ class RestrictedLayout:
                             % (self.base.labels[idx], self.base.provenance, self.kind))
         return pos
 
-    def render(self, i: int) -> str:
-        return self.base.labels[int(self.members[i])]
-
 
 class QuotientLayout:
     def __init__(self, base: RingTable, reps: np.ndarray, proj: np.ndarray):
@@ -466,7 +465,7 @@ def h_ring(base: RingTable, s, t, guards: Guards = DEFAULT_GUARDS,
     codec, mulfn = _h_formula(base, s, t)
     ring = _coord_ring(codec, [base.add] * 3, mulfn, [base.zero] * 3,
                        [base.one, base.zero, base.zero], prov, guards, [base])
-    ring._cache["params"] = (s, t)
+    ring.layout.params = (s, t)
     return ring
 
 
@@ -646,7 +645,7 @@ def twisted_u2(base: RingTable, images, guards: Guards = DEFAULT_GUARDS,
     ring = _coord_ring(_matrix_codec("U", 2, base), [badd] * 3, mulfn,
                        [base.zero] * 3, [base.one, base.zero, base.one],
                        prov, guards, [base])
-    ring._cache["images"] = images
+    ring.layout.images = images
     return ring
 
 
@@ -704,7 +703,6 @@ def quotient(R: RingTable, gens, guards: Guards = DEFAULT_GUARDS,
     ring = build_ring(proj[R.add[np.ix_(reps, reps)]].astype(dt),
                       proj[R.mul[np.ix_(reps, reps)]].astype(dt),
                       int(proj[R.zero]), int(proj[R.one]), labels, prov, layout)
-    ring._cache["ideal"] = I
     return ring, proj
 
 

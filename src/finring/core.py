@@ -19,7 +19,7 @@ import numpy as np
 
 __all__ = [
     "Guards", "DEFAULT_GUARDS", "RingError", "SizeGuardError", "RingTable",
-    "AxiomReport", "build_ring", "verify_axioms",
+    "AxiomReport", "build_ring", "verify_axioms", "prove_axioms",
 ]
 
 # cells per block of every n^2-cell mask or gather (_row_blocks), which
@@ -468,3 +468,17 @@ def verify_axioms(R: RingTable, guards: Guards = DEFAULT_GUARDS) -> AxiomReport:
     if skip:
         raise SizeGuardError(skip)
     return _exhaustive_report(R, _proven_on_tree(R))
+
+
+def prove_axioms(R: RingTable, guards: Guards = DEFAULT_GUARDS) -> Optional[str]:
+    """The one proof step between a built ring and its verdicts: None
+    once verify_axioms proves R a ring, the triple guard's reason when
+    it skips R, and RingError naming R when an axiom fails."""
+    try:
+        report = verify_axioms(R, guards)
+    except SizeGuardError as err:
+        return str(err)
+    if not report.passed:
+        raise RingError("axiom check failed on %s: %s"
+                        % (R.provenance, report.violations))
+    return None

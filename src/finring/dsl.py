@@ -8,15 +8,13 @@ one grammar so ring labels parse back as elements.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+import re
+from typing import List, NamedTuple
 
 from .expr import (CONSTRUCTORS, BracketList, CosetLit, IntLit, RawIndex,
                    RingExpr, TupleLit)
 
 __all__ = ["ParseError", "parse", "parse_element"]
-
-_PUNCT = set("()[],#+")
 
 
 class ParseError(ValueError):
@@ -28,57 +26,35 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str          # 'int' | 'ident' | one of _PUNCT | 'eof'
+class _Tok(NamedTuple):
+    kind: str          # 'int' | 'ident' | a punctuation character | 'eof'
     text: str
     line: int
     col: int
 
 
+# one alternative per token kind, tried in this order; a character
+# that starts none of the first four is refused
+_TOKEN = re.compile(r"(?P<blank>[ \t\r\n]+)|(?P<int>-?\d+)"
+                    r"|(?P<ident>[^\W\d]\w*)|(?P<punct>[()\[\],#+])|(?P<bad>.)")
+
+
 def _tokenize(text: str) -> List[_Tok]:
     toks = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        start_col = col
-        if ch == "-" or ch.isdigit():
-            j = i + 1
-            if ch == "-":
-                if j >= n or not text[j].isdigit():
-                    raise ParseError("'-' must start an integer", line, col)
-                j += 1
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(_Tok("int", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Tok("ident", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _PUNCT:
-            toks.append(_Tok(ch, ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError("unexpected character %r" % ch, line, col)
-    toks.append(_Tok("eof", "", line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind, tok = m.lastgroup, m.group()
+        col = m.start() - line_start + 1
+        if kind == "blank":
+            if "\n" in tok:
+                line += tok.count("\n")
+                line_start = m.start() + tok.rindex("\n") + 1
+        elif kind == "bad":
+            raise ParseError("'-' must start an integer" if tok == "-"
+                             else "unexpected character %r" % tok, line, col)
+        else:
+            toks.append(_Tok(tok if kind == "punct" else kind, tok, line, col))
+    toks.append(_Tok("eof", "", line, len(text) - line_start + 1))
     return toks
 
 

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .core import DEFAULT_GUARDS, Guards, RingError, RingTable, SizeGuardError
-from .core import _axiom_skip, _guard_skip, table_dtype, verify_axioms
+from .core import _axiom_skip, _guard_skip, prove_axioms, table_dtype
 from .construct import (_build_table, _h_formula, build_expr, corner,
                         expr_order, is_ideal, quotient, resolve_element)
 from .dsl import ParseError, parse
@@ -161,19 +161,11 @@ def corpus_from_text(text: str, source: str = "<corpus>",
             continue
         try:
             ring = build_expr(node, guards)
-        except RingError as err:
-            raise RingError("%s line %d: %s" % (source, lineno, err))
-        except SizeGuardError as err:
-            raise SizeGuardError("%s line %d: %s" % (source, lineno, err))
-        try:
-            report = verify_axioms(ring, guards)
-            if not report.passed:
-                raise RingError("%s line %d: axiom check failed: %s"
-                                % (source, lineno, report.violations))
-            entries.append(CorpusEntry(line, node, ring, True))
-        except SizeGuardError as err:
-            entries.append(CorpusEntry(line, node, ring, None,
-                                       "axiom check skipped: %s" % err))
+            skip = prove_axioms(ring, guards)
+        except (RingError, SizeGuardError) as err:
+            raise type(err)("%s line %d: %s" % (source, lineno, err))
+        entries.append(CorpusEntry(line, node, ring, None if skip else True,
+                                   skip and "axiom check skipped: %s" % skip))
     return Corpus(source, entries, time.perf_counter() - t0)
 
 
@@ -359,7 +351,7 @@ def _law_products(case, P, guards):
 def _law_quotient_lift(case, Q, guards):
     base = Q.layout.base
     proj = Q.layout.proj
-    sq = [int(x) for x in Q._cache["ideal"]
+    sq = [int(x) for x in np.flatnonzero(proj == Q.zero)
           if int(x) != base.zero and int(base.mul[x, x]) == base.zero]
     if sq:
         yield case(Q.provenance, None, "not-applicable", witness=(sq[0],),
@@ -496,7 +488,7 @@ def _h_families(base, e, s, t, sinv, tinv):
 
 def _law_h_ring(case, H, guards):
     base = H.layout.base
-    s, t = H._cache["params"]
+    s, t = H.layout.params
     sinv = unit_inverse(base, s)
     tinv = unit_inverse(base, t)
     if sinv is None or tinv is None:
@@ -534,7 +526,7 @@ def _law_h_ring(case, H, guards):
 
 def _law_twisted_u2(case, T, guards):
     base = T.layout.base
-    images = T._cache["images"]
+    images = T.layout.images
     space = T.layout.space
     for e in _nz_idem(base):
         E = int(space.compose_scalar([e, base.zero, e]))

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -42,11 +43,14 @@ SURVEY_DIGESTS = {
 
 
 def _forbid(monkeypatch, *names):
-    """Make each named cli dependency fail loudly if it is reached."""
+    """Make each named dependency fail loudly if it is reached: the
+    axiom proof where core.prove_axioms calls it, the rest where cli
+    calls them."""
     def reached(*a, **k):
         raise AssertionError("expensive work before input validation")
     for name in names:
-        monkeypatch.setattr(cli_mod, name, reached)
+        owner = finring.core if name == "verify_axioms" else cli_mod
+        monkeypatch.setattr(owner, name, reached)
 
 
 def run(argv):
@@ -256,11 +260,9 @@ def test_laws_unknown_law_exits_two(monkeypatch):
 
 def test_laws_that_ignore_the_corpus_build_none_of_it(monkeypatch,
                                                       tmp_path):
-    import finring.laws as laws_mod
-
     def reached(*a, **k):
         raise AssertionError("a corpus ring was axiom-checked")
-    monkeypatch.setattr(laws_mod, "verify_axioms", reached)
+    monkeypatch.setattr(finring.core, "verify_axioms", reached)
     code, out, _ = run(["laws", "--law", "examples",
                         "--law", "annihilator_quotient"])
     assert code == 0
@@ -283,6 +285,35 @@ def test_laws_names_the_manifest_line_over_the_build_cap(tmp_path):
     assert out == ""
     assert "line 2:" in err
     assert "over the build cap 10000" in err
+
+
+def test_a_ring_that_fails_its_axioms_exits_two(monkeypatch):
+    from test_construct import _broken_z3
+    monkeypatch.setattr(cli_mod, "build_expr", lambda *a: _broken_z3())
+    code, out, err = run(["check", "Z(3)", "reduced"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: axiom check failed on broken: ")
+
+
+@pytest.mark.parametrize("raised, code", [
+    (MemoryError("Unable to allocate 82.1 MiB"), 4),
+    (RuntimeError("a bug"), 70),
+    (KeyboardInterrupt(), 130),
+])
+def test_every_way_a_run_ends_has_its_exit_code(monkeypatch, raised, code):
+    def build(*a, **k):
+        raise raised
+    monkeypatch.setattr(cli_mod, "build_expr", build)
+    got, out, err = run(["check", "Z(6)", "reduced"])
+    assert (got, out) == (code, "")
+    if code == 4:
+        assert err == "out of memory: Unable to allocate 82.1 MiB\n"
+    elif code == 70:
+        # an internal fault keeps its traceback for the bug report
+        assert err.startswith("Traceback (most recent call last):\n")
+        assert err.endswith("RuntimeError: a bug\n")
+    else:
+        assert err == ""
 
 
 def test_laws_violation_exit_code(tmp_path, monkeypatch):
@@ -311,11 +342,13 @@ def test_usage_error_exits_two():
 
 def child(argv, **kwargs):
     """python -m finring argv in a child process, which finds the package
-    where this process found it."""
+    where this process found it.  It needs no BLAS threads, and with one
+    its numpy import reserves far less address space."""
     src = str(Path(finring.__file__).parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run([sys.executable, "-m", "finring", *argv],
-                          env=dict(os.environ, PYTHONPATH=path), **kwargs)
+                          env=dict(os.environ, PYTHONPATH=path,
+                                   OPENBLAS_NUM_THREADS="1"), **kwargs)
 
 
 def test_module_entry_point():
@@ -335,6 +368,60 @@ def test_a_closed_pipe_exits_141_and_prints_nothing():
     finally:
         os.close(w)
     assert (proc.returncode, proc.stderr) == (141, "")
+
+
+def test_running_out_of_memory_exits_4_with_one_line():
+    # Z(10000) asks for two 191 MiB tables; the child's address space is
+    # capped at 256 MiB, which its imports fit
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+    proc = child(["check", "Z(10000)", "reduced"], preexec_fn=cap,
+                 capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr.startswith("out of memory: ")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_check_refuses_a_digit_that_is_no_integer():
+    code, out, err = run(["check", "Z(²)", "reduced"])
+    assert (code, out) == (2, "")
+    assert err == "parse error: 1:3: expected 'int', found '²'\n"
+
+
+DESCRIBE_U2Z3 = """\
+ring: U(2,Z(3))  (order 27)
+axioms: ok
+zero: [[0,0],[0,0]]   one: [[1,0],[0,1]]
+idempotents (8):
+  [[0,0],[0,0]]  [left-semicentral, right-semicentral]
+  [[0,0],[0,1]]  [right-semicentral]
+  [[0,1],[0,1]]  [right-semicentral]
+  [[0,2],[0,1]]  [right-semicentral]
+  [[1,0],[0,0]]  [left-semicentral]
+  [[1,0],[0,1]]  [left-semicentral, right-semicentral]
+  [[1,1],[0,0]]  [left-semicentral]
+  [[1,2],[0,0]]  [left-semicentral]
+nilpotents (3): [[0,0],[0,0]], [[0,1],[0,0]], [[0,2],[0,0]]
+center: 3 elements
+  reduced                      FAIL
+  reversible                   FAIL
+  symmetric                    FAIL
+  semicommutative              FAIL
+  reflexive                    FAIL
+  right_idempotent_reflexive   FAIL
+  abelian                      FAIL
+  semiprime                    FAIL
+  prime                        FAIL
+  domain                       FAIL
+  directly_finite              ok
+  von_neumann_regular          FAIL
+"""
+
+
+def test_describe_table_is_pinned():
+    code, out, _ = run(["describe", "U(2,Z(3))"])
+    assert code == 0
+    assert out == DESCRIBE_U2Z3
 
 
 def test_cache_flag_round_trip(tmp_path):

@@ -158,8 +158,9 @@ def test_quotient_of_z12():
     assert Q.labels == ("0+I", "1+I", "2+I", "3+I")
     assert resolve_element(Q, "5+I") == 1
     assert is_isomorphic(Q, zmod(4))
-    assert sorted(int(i) for i in Q._cache["ideal"]) == [0, 4, 8]
     assert Q.layout.proj.tolist() == [0, 1, 2, 3] * 3
+    # the ideal is the zero coset, as the quotient_lift law reads it
+    assert np.flatnonzero(Q.layout.proj == Q.zero).tolist() == [0, 4, 8]
 
 
 def test_quotient_rejects_improper_ideal():

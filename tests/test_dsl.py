@@ -100,6 +100,8 @@ def test_nested_expression_parses():
     ("quot(Z(4))", 11, "at least one ideal generator"),
     ("dorroh(Z(2),hom[])", 13, "expected 'sub[...]'"),
     ("twist(Z(2),sub[])", 12, "expected 'hom[...]'"),
+    # str.isdigit accepts '²' and int() does not: no integer starts here
+    ("Z(²)", 3, "expected 'int'"),
 ])
 def test_parse_errors_carry_positions(text, col, frag):
     with pytest.raises(ParseError) as info:
@@ -114,12 +116,17 @@ def test_parse_errors_carry_positions(text, col, frag):
     ("#x", 2, "expected 'int'"),
     ("(1,)", 4, "element literal"),
     ("1+J", 3, "expected 'I' after '+'"),
+    ("²", 1, "element literal"),
 ])
 def test_element_errors_carry_positions(text, col, frag):
     with pytest.raises(ParseError) as info:
         parse_element(text)
     assert info.value.col == col
     assert frag in str(info.value)
+
+
+def test_a_decimal_digit_of_any_script_is_an_integer():
+    assert parse("Z(٣)") == parse("Z(3)")     # an Arabic-Indic three
 
 
 def test_multiline_error_reports_its_line():

@@ -157,6 +157,11 @@ def test_corpus_from_text_reports_bad_line():
         corpus_from_text(text, source="inline")
     with pytest.raises(RingError, match="line 1"):
         corpus_from_text("quot(Z(4),1)\n", source="inline")
+    # re-keyed to its manifest line, column kept
+    with pytest.raises(ParseError) as info:
+        corpus_from_text("Z(4)\n\nZ(²)\n", source="inline")
+    assert (info.value.line, info.value.col) == (3, 3)
+    assert str(info.value) == "3:3: in inline line 3: expected 'int', found '²'"
 
 
 def test_corpus_from_text_skips_comments_and_blanks():

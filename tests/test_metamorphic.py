@@ -1,13 +1,15 @@
-"""Isomorphic presentations agree, and random constructor compositions
-agree with the naive oracle."""
+"""Isomorphic presentations agree, random constructor compositions
+agree with the naive oracle, and every such ring and corpus ring agrees
+with its opposite ring."""
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 import hypothesis.strategies as st
 
 from finring import (
-    ALL_PROPS, E_PROPS, Guards, RingError, SizeGuardError, build_expr, center,
-    check_property, idempotents, replay_witness, survey,
+    ALL_PROPS, E_PROPS, GLOBAL_PROPS, Guards, RingError, SizeGuardError,
+    build_expr, build_ring, center, check_property, idempotents,
+    replay_witness, survey, verify_axioms,
 )
 from finring.expr import CONSTRUCTORS
 
@@ -49,6 +51,41 @@ def test_isomorphic_presentations_give_the_same_survey(left, right):
     assert phi is not None
     _assert_transported(R, S, phi)
     _assert_transported(S, R, phi.argsort())
+
+
+# a left property at e on R is its right relative at e on the opposite
+# ring, which has R's add and the transposed mul: right e-reversibility
+# of the opposite reads xy = 0 => e*y*x = 0 in R
+MIRRORED = (("left_e_reversible", "right_e_reversible"),
+            ("left_e_reduced", "right_e_reduced"),
+            ("left_e_semicommutative", "right_e_semicommutative"))
+
+
+def _assert_mirrored_by_the_opposite(R):
+    """The opposite ring passes the axioms, each global property has the
+    same status on both rings, and each one-sided property at each e has
+    its mirror's status there; each failing witness replays on its own
+    ring (the least witnesses differ, as the pair swaps).  No oracle, so
+    any order the sweeps reach.  Returns the number of comparisons."""
+    P = build_ring(R.add, R.mul.T, R.zero, R.one, R.labels,
+                   "op(%s)" % R.provenance)
+    assert verify_axioms(P).passed, R.provenance
+    pairs = [(p, p, None) for p in GLOBAL_PROPS]
+    for e in (int(x) for x in idempotents(R) if x != R.zero):
+        pairs += [(mine, theirs, e) for left, right in MIRRORED
+                  for mine, theirs in ((left, right), (right, left))]
+    for mine, theirs, e in pairs:
+        v, w = check_property(R, mine, e), check_property(P, theirs, e)
+        assert v.status == w.status, (R.provenance, mine, e)
+        for S, x in ((R, v), (P, w)):
+            if x.status == "fails":
+                assert replay_witness(S, x.property, e, x.witness)
+    return len(pairs)
+
+
+def test_every_corpus_ring_is_mirrored_by_its_opposite(corpus):
+    assert sum(_assert_mirrored_by_the_opposite(e.ring)
+               for e in corpus.rings()) == 2790
 
 
 # the leaves of a composition: modular integers and algebras over Z(p)
@@ -135,3 +172,4 @@ def test_random_compositions_match_the_oracle(text):
                 (text, prop, e)
             if v.status == "fails":
                 assert replay_witness(R, prop, e, v.witness)
+    _assert_mirrored_by_the_opposite(R)
