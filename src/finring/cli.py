@@ -301,7 +301,7 @@ def main(argv=None) -> int:
         print("error: %s" % err, file=sys.stderr)
         return 2
     except MemoryError as err:
-        print("out of memory: %s" % (err or "no message"), file=sys.stderr)
+        print("out of memory:", str(err) or "no message", file=sys.stderr)
         return 4
     except KeyboardInterrupt:
         return 130

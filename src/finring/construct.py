@@ -15,13 +15,16 @@ differential test in tests/test_construct.py holds every fill to the
 formula.  Both write each table once, with no n^2 temporary; the fill
 works in place, in row blocks, and indexes add's rows by the summand,
 whose few distinct elements keep the rows it reads in cache.
+
+A subring, corner or quotient is built by _derived_ring, which gathers
+its tables through one index map from its base's, in row blocks.
 """
 from __future__ import annotations
 
 import itertools
 import operator
-from functools import partial
-from typing import List, Optional, Sequence
+from functools import partial, reduce
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -41,10 +44,24 @@ __all__ = [
 ]
 
 
-def _guard_build(order: int, guards: Guards, what: str):
-    if order > guards.build_cap:
-        raise SizeGuardError("%s has order %d, over the build cap %d"
-                             % (what, order, guards.build_cap))
+# an order of 2^_POWER_BITS or more, past any table that fits in memory,
+# is refused unseen, from bit lengths, and written as powers q^k
+_POWER_BITS = 1 << 12
+
+
+def _guard_build(what, guards: Guards, *powers):
+    """Refuse to build what (a name, or an expression node), of order
+    the product of q**k over its powers (q, k), over the build cap."""
+    cap = guards.build_cap
+    if sum(k * (q.bit_length() - 1) for q, k in powers) >= _POWER_BITS:
+        order = "*".join("%d^%d" % (q, k) if k > 1 else "%d" % q
+                         for q, k in powers)
+    else:
+        order = reduce(operator.mul, (q ** k for q, k in powers))
+        if order <= cap:
+            return
+    raise SizeGuardError("%s has order %s, over the build cap %d" % (
+        what if isinstance(what, str) else serialize(what), order, cap))
 
 
 class _CoordSpace:
@@ -69,9 +86,6 @@ class _CoordSpace:
             term = np.asarray(c, dtype=np.int64) * st
             acc = term if acc is None else acc + term
         return acc
-
-    def decompose_scalar(self, idx: int) -> List[int]:
-        return [(idx // st) % sz for st, sz in zip(self.strides, self.sizes)]
 
     def compose_scalar(self, coords) -> int:
         return sum(int(c) * st for c, st in zip(coords, self.strides))
@@ -128,7 +142,7 @@ def _fill_rows(space: _CoordSpace, mulfn, add: np.ndarray,
     sizes, n = space.sizes, space.order
     rows = _build_table(space, mulfn, add.dtype, np.concatenate(
         [zero + (np.arange(s) - z) * st for s, z, st in
-         zip(sizes, space.decompose_scalar(zero), space.strides)]))
+         zip(sizes, space.decompose(zero), space.strides)]))
     out = np.empty((n, n), dtype=add.dtype)
     m = r0 = sizes[0]
     out[:m] = rows[:m]
@@ -169,21 +183,20 @@ def _encode_node(R: RingTable, node) -> int:
             raise RingError("raw index #%d out of range for order %d"
                             % (node.value, R.order))
         return node.value
-    if R.layout is not None:
-        try:
+    # 0 and 1 name the distinguished elements of any ring
+    named = isinstance(node, IntLit) and node.value in (0, 1)
+    try:
+        if R.layout is not None:
             return R.layout.encode(node)
-        except RingError:
-            # 0 and 1 name the distinguished elements of any ring
-            if isinstance(node, IntLit) and node.value in (0, 1):
-                return R.zero if node.value == 0 else R.one
+        # hand-built ring: fall back to exact label match
+        text = serialize_elem(node)
+        if text in R.labels and not named:
+            return R.labels.index(text)
+        raise RingError("cannot resolve %r in a ring without a layout" % text)
+    except RingError:
+        if not named:
             raise
-    if isinstance(node, IntLit) and node.value in (0, 1):
-        return R.zero if node.value == 0 else R.one
-    # hand-built ring: fall back to exact label match
-    text = serialize_elem(node)
-    if text in R.labels:
-        return R.labels.index(text)
-    raise RingError("cannot resolve %r in a ring without a layout" % text)
+    return R.zero if node.value == 0 else R.one
 
 
 class CoordCodec:
@@ -294,12 +307,15 @@ class CoordCodec:
         return "expected a coefficient vector of length %d" % len(shape)
 
 
+# matrix kind -> the coordinate count of _matrix_grid at size n
+_COORD_COUNTS = {"M": lambda n: n * n, "U": lambda n: n * (n + 1) // 2,
+                 "D": lambda n: n * (n - 1) // 2 + 1, "V": lambda n: n}
+
+
 def _matrix_grid(kind: str, n: int):
     """The n x n shape of a matrix kind (see matrix_ring) and its
     coordinate count, coordinates numbered in row-major order of their
     first entry."""
-    if kind not in ("M", "U", "D", "V"):
-        raise RingError("unknown matrix kind %r" % kind)
     free = itertools.count()
     grid = []
     for i in range(n):
@@ -322,38 +338,24 @@ def _matrix_codec(kind: str, n: int, base: RingTable) -> CoordCodec:
     return CoordCodec(grid, [base] * count, "kind %s" % kind)
 
 
-class RestrictedLayout:
-    """Subset of a base ring (subring or corner), labels borrowed."""
-
-    def __init__(self, base: RingTable, members: np.ndarray, posmap: np.ndarray,
-                 kind: str = "subring"):
-        self.base = base
-        self.members = members
-        self.posmap = posmap
-        self.kind = kind
+class DerivedLayout(NamedTuple):
+    """A subring, corner or quotient (kind) of base: element i stands for
+    base element reps[i], and base element x is element index[x], or
+    lies outside the ring at -1 (never in a quotient)."""
+    base: RingTable
+    reps: np.ndarray
+    index: np.ndarray
+    kind: str
 
     def encode(self, node) -> int:
+        if isinstance(node, CosetLit) and self.kind == "quotient":
+            node = node.rep
         idx = _encode_node(self.base, node)
-        pos = int(self.posmap[idx])
+        pos = int(self.index[idx])
         if pos < 0:
             raise RingError("element %s of %s lies outside the %s"
                             % (self.base.labels[idx], self.base.provenance, self.kind))
         return pos
-
-
-class QuotientLayout:
-    def __init__(self, base: RingTable, reps: np.ndarray, proj: np.ndarray):
-        self.base = base
-        self.reps = reps
-        self.proj = proj
-
-    def encode(self, node) -> int:
-        if isinstance(node, CosetLit):
-            node = node.rep
-        return int(self.proj[_encode_node(self.base, node)])
-
-    def render(self, i: int) -> str:
-        return self.base.labels[int(self.reps[i])] + "+I"
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +385,7 @@ def _coord_ring(codec: CoordCodec, add, mul, zero, one, prov: str,
     single-coordinate row, so a fill would only copy them.)
     """
     space = codec.space
-    _guard_build(space.order, guards, prov)
+    _guard_build(prov, guards, (space.order, 1))
     labels = codec.labels()
     dt = table_dtype(space.order)
     zero = space.compose_scalar(zero)
@@ -421,6 +423,10 @@ def matrix_ring(kind: str, n: int, base: RingTable,
     """
     if n < 1:
         raise RingError("matrix size must be >= 1")
+    if kind not in _COORD_COUNTS:
+        raise RingError("unknown matrix kind %r" % kind)
+    prov = provenance or "%s(%d,%s)" % (kind, n, base.provenance)
+    _guard_build(prov, guards, (base.order, _COORD_COUNTS[kind](n)))
     codec = _matrix_codec(kind, n, base)
     grid = codec.shape
     free = [codec.paths[k] for k in range(len(codec.comps))]
@@ -443,8 +449,7 @@ def matrix_ring(kind: str, n: int, base: RingTable,
     return _coord_ring(codec, [badd] * len(free), mulfn,
                        [base.zero] * len(free),
                        [base.one if i == j else base.zero for (i, j) in free],
-                       provenance or "%s(%d,%s)" % (kind, n, base.provenance),
-                       guards, [base])
+                       prov, guards, [base])
 
 
 def _require_central(base: RingTable, x: int, what: str):
@@ -538,9 +543,7 @@ def _closure(R: RingTable, seeds, products) -> np.ndarray:
     """Grow {0} and seeds until closed under + and the index arrays
     products(members) returns; sorted indices."""
     mask = np.zeros(R.order, dtype=bool)
-    mask[R.zero] = True
-    for g in seeds:
-        mask[resolve_element(R, g)] = True
+    mask[[R.zero] + [resolve_element(R, g) for g in seeds]] = True
     while True:
         m = np.flatnonzero(mask)
         grown = mask.copy()
@@ -560,27 +563,32 @@ def subring(R: RingTable, gens) -> np.ndarray:
 def sub_ring_table(R: RingTable, members: np.ndarray,
                    provenance: str = None) -> RingTable:
     """RingTable on a closed subset of R sharing R's identity."""
-    return _restricted_ring(R, np.asarray(members), R.one,
-                            provenance or R.provenance + "|sub", "subring")
+    return _derived_ring(R, np.unique(members), R.one,
+                         provenance or R.provenance + "|sub", "subring")
 
 
-def _restricted_ring(R: RingTable, members: np.ndarray, one_index: int,
-                     prov: str, kind: str) -> RingTable:
-    members = np.unique(members)
-    posmap = np.full(R.order, -1, dtype=np.int64)
-    posmap[members] = np.arange(len(members))
-    if posmap[R.zero] < 0 or posmap[one_index] < 0:
+def _derived_ring(R: RingTable, reps: np.ndarray, one: int, prov: str,
+                  kind: str, index: np.ndarray = None) -> RingTable:
+    """The ring of kind on R's elements reps (see DerivedLayout), its
+    identity R's element one; index defaults to the positions in reps.
+    Each table is gathered through index a row block at a time."""
+    if index is None:
+        index = np.full(R.order, -1, dtype=table_dtype(R.order))
+        index[reps] = np.arange(len(reps))
+    if index[R.zero] < 0 or index[one] < 0:
         raise RingError("%s must contain zero and its identity" % kind)
-    sadd = posmap[R.add[np.ix_(members, members)]]
-    smul = posmap[R.mul[np.ix_(members, members)]]
-    if (sadd < 0).any() or (smul < 0).any():
-        raise RingError("subset of %s is not closed under the operations"
-                        % R.provenance)
-    labels = tuple(R.labels[int(i)] for i in members)
-    layout = RestrictedLayout(R, members, posmap, kind)
-    dt = table_dtype(len(members))
-    return build_ring(sadd.astype(dt), smul.astype(dt), int(posmap[R.zero]),
-                      int(posmap[one_index]), labels, prov, layout)
+    n = len(reps)
+    add, mul = np.empty((2, n, n), dtype=table_dtype(n))
+    for op, out in ((R.add, add), (R.mul, mul)):
+        for rows in _row_blocks(n, R.order):
+            out[rows] = index[op[reps[rows, None], reps]]
+            if out[rows].min() < 0:
+                raise RingError("subset of %s is not closed under the "
+                                "operations" % R.provenance)
+    suffix = "+I" if kind == "quotient" else ""
+    labels = tuple(R.labels[i] + suffix for i in reps.tolist())
+    return build_ring(add, mul, int(index[R.zero]), int(index[one]), labels,
+                      prov, DerivedLayout(R, reps, index, kind))
 
 
 def dorroh(base: RingTable, gens, guards: Guards = DEFAULT_GUARDS,
@@ -588,7 +596,7 @@ def dorroh(base: RingTable, gens, guards: Guards = DEFAULT_GUARDS,
     """Pairs (a, b) with b in the subring generated by gens; the
     product is (a,b)(c,d) = (ac + ad + bc, bd) and the identity (0,1)."""
     S = sub_ring_table(base, subring(base, gens))
-    members, posmap = S.layout.members, S.layout.posmap
+    reps, index = S.layout.reps, S.layout.index
     prov = provenance or "dorroh(%s,sub[%s])" % (
         base.provenance, ",".join(base.labels[resolve_element(base, g)]
                                   for g in gens))
@@ -597,10 +605,9 @@ def dorroh(base: RingTable, gens, guards: Guards = DEFAULT_GUARDS,
     def mulfn(rc, cc):
         a, bpos = rc
         c, dpos = cc
-        b = members[bpos]
-        d = members[dpos]
+        b, d = reps[bpos], reps[dpos]
         first = badd[badd[bmul[a, c], bmul[a, d]], bmul[b, c]]
-        return [first, posmap[bmul[b, d]]]
+        return [first, index[bmul[b, d]]]
 
     return _coord_ring(CoordCodec((0, 1), [base, S]), [badd, S.add],
                        mulfn, [base.zero, S.zero], [base.zero, S.one],
@@ -659,6 +666,7 @@ def trs(base: RingTable, gens, n: int, guards: Guards = DEFAULT_GUARDS,
     prov = provenance or "trs(%s,sub[%s],%d)" % (
         base.provenance, ",".join(base.labels[resolve_element(base, g)]
                                   for g in gens), n)
+    _guard_build(prov, guards, (base.order, n), (S.order, 1))
     return _tuple_ring([base] * n + [S], guards, prov)
 
 
@@ -668,42 +676,30 @@ def ideal_closure(R: RingTable, gens) -> np.ndarray:
 
 
 def is_ideal(R: RingTable, members) -> bool:
-    """True when the index set is a two-sided ideal of R."""
+    """True when the index set is its own ideal closure: an ideal of R."""
     m = np.unique(np.asarray(list(members), dtype=np.int64))
-    mask = np.zeros(R.order, dtype=bool)
-    mask[m] = True
-    if not mask[R.zero]:
-        return False
-    return bool(mask[R.add[np.ix_(m, m)]].all()
-                and mask[R.mul[:, m]].all()
-                and mask[R.mul[m, :]].all())
+    return np.array_equal(ideal_closure(R, m), m)
 
 
 def quotient(R: RingTable, gens, guards: Guards = DEFAULT_GUARDS,
              provenance: str = None):
     """Quotient by the ideal generated by gens.
 
-    Returns (ring, proj) where proj maps base indices to coset
-    indices.  Cosets take their least-index member as representative,
-    labelled 'rep+I'.
+    Returns (ring, proj) where proj, the layout's index, maps base
+    indices to coset indices.  Cosets take their least-index member as
+    representative, labelled 'rep+I'.
     """
     I = ideal_closure(R, gens)
-    if int(np.searchsorted(I, R.one)) < len(I) and I[np.searchsorted(I, R.one)] == R.one:
+    if R.one in I:
         raise RingError("improper ideal: the generators span all of %s"
                         % R.provenance)
     rep_of = R.add[:, I].min(axis=1)
     reps = np.unique(rep_of)
-    proj = np.searchsorted(reps, rep_of)
     prov = provenance or "quot(%s,%s)" % (
         R.provenance, ",".join(R.labels[resolve_element(R, g)] for g in gens))
-    _guard_build(len(reps), guards, prov)
-    layout = QuotientLayout(R, reps, proj)
-    labels = tuple(layout.render(i) for i in range(len(reps)))
-    dt = table_dtype(len(reps))
-    ring = build_ring(proj[R.add[np.ix_(reps, reps)]].astype(dt),
-                      proj[R.mul[np.ix_(reps, reps)]].astype(dt),
-                      int(proj[R.zero]), int(proj[R.one]), labels, prov, layout)
-    return ring, proj
+    _guard_build(prov, guards, (len(reps), 1))
+    proj = np.searchsorted(reps, rep_of).astype(table_dtype(R.order))
+    return _derived_ring(R, reps, R.one, prov, "quotient", proj), proj
 
 
 def corner(R: RingTable, e, guards: Guards = DEFAULT_GUARDS,
@@ -718,11 +714,10 @@ def corner(R: RingTable, e, guards: Guards = DEFAULT_GUARDS,
         raise RingError("corner needs an idempotent element")
     if e == R.zero:
         raise RingError("corner at zero is not a unital ring")
-    exe = R.mul[R.mul[e, np.arange(R.order)], e]
-    members = np.unique(exe)
+    members = np.unique(R.mul[R.mul[e], e])
     prov = provenance or "corner(%s,%s)" % (R.provenance, R.labels[e])
-    _guard_build(len(members), guards, prov)
-    return _restricted_ring(R, members, e, prov, "corner"), members
+    _guard_build(prov, guards, (len(members), 1))
+    return _derived_ring(R, members, e, prov, "corner"), members
 
 
 def _check_modulus_and_dimension(p: int, d: int):
@@ -822,6 +817,17 @@ def _dispatch(node: RingExpr, guards: Guards, prov: str) -> RingTable:
     return _BUILDERS[node.name](*args, guards, prov)
 
 
+def _expr_power(node: RingExpr):
+    """(q, k) with q**k the order an expression's arguments fix, or None
+    as for expr_order; the power is not computed."""
+    n = node.args[0]
+    if node.name == "Z":
+        return (n, 1) if n >= 2 else None
+    if node.name in _COORD_COUNTS and n >= 1:
+        power = _expr_power(node.args[1])
+        return power and (power[0], power[1] * _COORD_COUNTS[node.name](n))
+
+
 def expr_order(node) -> Optional[int]:
     """The order an expression's arguments fix, without building it.
 
@@ -829,18 +835,12 @@ def expr_order(node) -> Optional[int]:
     other constructor gets None: its builder checks arguments against
     built inputs (centrality, associative constants, a homomorphism).
     So does an expression whose builder's own argument check fails, so
-    that the builder still raises its error.
+    that the builder still raises its error, and one of an order of
+    2^_POWER_BITS or more, which build_expr refuses from its power.
     """
-    if isinstance(node, str):
-        node = parse(node)
-    if node.name == "Z":
-        (n,) = node.args
-        return n if n >= 2 else None
-    if node.name in ("M", "U", "D", "V"):
-        n, base = node.args
-        q = expr_order(base) if n >= 1 else None
-        return None if q is None else q ** _matrix_grid(node.name, n)[1]
-    return None
+    power = _expr_power(parse(node) if isinstance(node, str) else node)
+    if power and power[1] * (power[0].bit_length() - 1) < _POWER_BITS:
+        return power[0] ** power[1]
 
 
 def _build_order(node: RingExpr):
@@ -858,7 +858,7 @@ def _build_order(node: RingExpr):
 def build_expr(node, guards: Guards = DEFAULT_GUARDS) -> RingTable:
     """Build the ring described by an expression (text or AST).
 
-    The build cap is checked first on the sub-expressions expr_order
+    The build cap is checked first on the sub-expressions _expr_power
     sizes, in build order up to the first it cannot size, so an
     expression over the cap fails before any table is filled, with the
     error its build would raise.
@@ -866,9 +866,8 @@ def build_expr(node, guards: Guards = DEFAULT_GUARDS) -> RingTable:
     if isinstance(node, str):
         node = parse(node)
     for sub in _build_order(node):
-        order = expr_order(sub)
-        if order is None:
+        power = _expr_power(sub)
+        if power is None:
             break
-        if order > guards.build_cap:
-            _guard_build(order, guards, serialize(sub))
+        _guard_build(sub, guards, power)
     return _dispatch(node, guards, serialize(node))

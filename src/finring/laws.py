@@ -350,7 +350,7 @@ def _law_products(case, P, guards):
 
 def _law_quotient_lift(case, Q, guards):
     base = Q.layout.base
-    proj = Q.layout.proj
+    proj = Q.layout.index
     sq = [int(x) for x in np.flatnonzero(proj == Q.zero)
           if int(x) != base.zero and int(base.mul[x, x]) == base.zero]
     if sq:
@@ -436,7 +436,7 @@ def _law_annihilator_quotient(case, guards):
 
 def _law_dorroh(case, D, guards):
     base, S = D.layout.comps
-    m = S.layout.members
+    m = S.layout.reps
     cen = set(int(x) for x in center(base))
     if not all(int(x) in cen for x in m):
         yield case(D.provenance, None, "not-applicable",

@@ -103,6 +103,15 @@ def test_build_guard_exits_before_building_a_sub_expression(monkeypatch):
                    "over the build cap 10000\n")
 
 
+@pytest.mark.parametrize("expr", [
+    "M(1000,Z(3))", "M(99999999999,Z(2))", "trs(Z(2),sub[],99999999999)"])
+def test_a_giant_order_exits_three_with_one_line(expr):
+    code, out, err = run(["check", expr, "reduced"])
+    assert (code, out) == (3, "")
+    assert err.startswith("size guard: %s has order " % expr)
+    assert err.count("\n") == 1
+
+
 def test_parse_error_exits_two_with_position():
     code, _, err = run(["check", "Z(", "reversible"])
     assert code == 2
@@ -287,6 +296,16 @@ def test_laws_names_the_manifest_line_over_the_build_cap(tmp_path):
     assert "over the build cap 10000" in err
 
 
+def test_laws_refuses_a_giant_manifest_line_without_sizing_it(tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_text("Z(4)\nM(99999999999,Z(2))\n")
+    code, out, err = run(["laws", "--corpus", str(path), "--law", "ere"])
+    assert (code, out) == (3, "")
+    assert err == ("size guard: %s line 2: M(99999999999,Z(2)) has order "
+                   "2^9999999999800000000001, over the build cap 10000\n"
+                   % path)
+
+
 def test_a_ring_that_fails_its_axioms_exits_two(monkeypatch):
     from test_construct import _broken_z3
     monkeypatch.setattr(cli_mod, "build_expr", lambda *a: _broken_z3())
@@ -299,6 +318,7 @@ def test_a_ring_that_fails_its_axioms_exits_two(monkeypatch):
     (MemoryError("Unable to allocate 82.1 MiB"), 4),
     (RuntimeError("a bug"), 70),
     (KeyboardInterrupt(), 130),
+    (MemoryError(), 4),
 ])
 def test_every_way_a_run_ends_has_its_exit_code(monkeypatch, raised, code):
     def build(*a, **k):
@@ -307,7 +327,9 @@ def test_every_way_a_run_ends_has_its_exit_code(monkeypatch, raised, code):
     got, out, err = run(["check", "Z(6)", "reduced"])
     assert (got, out) == (code, "")
     if code == 4:
-        assert err == "out of memory: Unable to allocate 82.1 MiB\n"
+        # a bare MemoryError carries no message of its own
+        assert err == ("out of memory: Unable to allocate 82.1 MiB\n"
+                       if raised.args else "out of memory: no message\n")
     elif code == 70:
         # an internal fault keeps its traceback for the bug report
         assert err.startswith("Traceback (most recent call last):\n")

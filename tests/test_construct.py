@@ -12,8 +12,8 @@ import pytest
 
 import finring
 from finring import (
-    Guards, RingError, SizeGuardError, build_expr, build_ring, parse,
-    resolve_element, verify_axioms,
+    Guards, RingError, SizeGuardError, build_expr, build_ring, idempotents,
+    parse, resolve_element, verify_axioms,
 )
 from finring import construct, core
 from finring.construct import (
@@ -21,7 +21,8 @@ from finring.construct import (
     ideal_closure, is_ideal, matrix_ring, quotient, sub_ring_table, subring,
     trs, twisted_u2, zmod,
 )
-from conftest import CHUNKS
+from finring.core import table_dtype
+from conftest import CHUNKS, SMALL_RINGS
 from iso import find_isomorphism, is_isomorphic, ring_generators
 
 from oracle import mul, naive_center
@@ -158,9 +159,9 @@ def test_quotient_of_z12():
     assert Q.labels == ("0+I", "1+I", "2+I", "3+I")
     assert resolve_element(Q, "5+I") == 1
     assert is_isomorphic(Q, zmod(4))
-    assert Q.layout.proj.tolist() == [0, 1, 2, 3] * 3
+    assert Q.layout.index.tolist() == [0, 1, 2, 3] * 3
     # the ideal is the zero coset, as the quotient_lift law reads it
-    assert np.flatnonzero(Q.layout.proj == Q.zero).tolist() == [0, 4, 8]
+    assert np.flatnonzero(Q.layout.index == Q.zero).tolist() == [0, 4, 8]
 
 
 def test_quotient_rejects_improper_ideal():
@@ -403,6 +404,34 @@ def test_build_cap_fails_before_any_table_fill(no_table_fills):
         build_expr("prod(U(2,Z(5)),Z(3))", Guards(build_cap=100))
 
 
+def test_coordinate_counts_match_the_matrix_grid():
+    for kind, count in construct._COORD_COUNTS.items():
+        for n in range(1, 9):
+            assert count(n) == construct._matrix_grid(kind, n)[1], (kind, n)
+
+
+@pytest.mark.parametrize("text, order", [
+    ("M(1000,Z(3))", "3^1000000"),
+    ("M(3000,Z(3))", "3^9000000"),
+    ("M(99999999999,Z(2))", "2^9999999999800000000001"),
+    ("U(99999999999,Z(2))", "2^4999999999950000000000"),
+    ("D(99999999999,Z(2))", "2^4999999999850000000002"),
+    ("V(99999999999,Z(2))", "2^99999999999"),
+    # a base the cap walk cannot size: matrix_ring refuses it itself
+    ("M(99999999999,prod(Z(2),Z(2)))", "4^9999999999800000000001"),
+    ("trs(Z(2),sub[],20000)", "2^20000*2"),
+    ("trs(Z(2),sub[],99999999999)", "2^99999999999*2"),
+])
+def test_a_giant_order_is_refused_from_its_powers(text, order):
+    # Python formats no integer past 4300 digits, and these orders are
+    # never computed: they are written as their powers
+    with pytest.raises(SizeGuardError) as info:
+        build_expr(text)
+    assert str(info.value) == ("%s has order %s, over the build cap 10000"
+                               % (text, order))
+    assert construct.expr_order(text) is None
+
+
 def test_build_cap_check_stops_at_an_unsized_node():
     # the twist is built first and refuses its map before the oversized
     # factor is reached, so that error comes first
@@ -595,3 +624,108 @@ def test_the_gate_matters_on_a_broken_base(monkeypatch, fill_all):
     built = h_ring(B, 1, 1)
     monkeypatch.setattr(construct, "_biadditive", lambda R: True)
     assert not np.array_equal(h_ring(B, 1, 1).mul, built.mul)
+
+
+# ---------------------------------------------------------------------------
+# derived rings: the row-blocked builder against the whole-table formula
+
+def naive_derived(R, m, posmap, one, suffix=""):
+    """add, mul, labels, zero and one of the ring on R's elements m by
+    the whole-table formula posmap[R.op[np.ix_(m, m)]], posmap int64."""
+    m = np.asarray(m, dtype=np.int64)
+    posmap = np.asarray(posmap, dtype=np.int64)
+    return (posmap[R.add[np.ix_(m, m)]], posmap[R.mul[np.ix_(m, m)]],
+            tuple(R.labels[i] + suffix for i in m), int(posmap[R.zero]),
+            int(posmap[one]))
+
+
+def positions(R, m):
+    """The int64 map of R's elements to their positions in m, -1 off m."""
+    posmap = np.full(R.order, -1, dtype=np.int64)
+    posmap[list(m)] = np.arange(len(m))
+    return posmap
+
+
+def derived_subjects(R):
+    """(build, reference) for the corner at each nonzero idempotent of
+    R, and for the subring and the quotient by the ideal (when proper)
+    that each of zero and R's additive generators generates; build()
+    builds the ring and reference is naive_derived's answer for it."""
+    for e in idempotents(R):
+        e = int(e)
+        if e != R.zero:
+            m = np.unique(R.mul[R.mul[e], e])
+            yield (lambda e=e: corner(R, e)[0],
+                   naive_derived(R, m, positions(R, m), e))
+    subs, ideals = set(), set()
+    for x in [R.zero] + core._additive_generators(R).gens:
+        m = tuple(subring(R, [x]).tolist())
+        if m not in subs:
+            subs.add(m)
+            yield (lambda m=m: sub_ring_table(R, m),
+                   naive_derived(R, m, positions(R, m), R.one))
+        ideal = ideal_closure(R, [x])
+        if R.one not in ideal and tuple(ideal.tolist()) not in ideals:
+            ideals.add(tuple(ideal.tolist()))
+            rep_of = R.add[:, ideal].min(axis=1)
+            reps = np.unique(rep_of)
+            yield (lambda x=x: quotient(R, [x])[0],
+                   naive_derived(R, reps, np.searchsorted(reps, rep_of),
+                                 R.one, "+I"))
+
+
+def assert_derived_rings_match_the_formula(R, *cells):
+    """Each of derived_subjects(R), built in blocks of each of cells
+    cells, has the reference's tables, in the table dtype of its order,
+    labels, zero and one."""
+    for build, (add, mul, labels, zero, one) in list(derived_subjects(R)):
+        for c in cells:
+            with mock.patch.object(core, "_CHUNK_CELLS", c):
+                S = build()
+            assert S.add.dtype == S.mul.dtype == table_dtype(S.order)
+            assert np.array_equal(S.add, add) and np.array_equal(S.mul, mul)
+            assert (S.labels, S.zero, S.one) == (labels, zero, one)
+
+
+def assert_derived_refusals_keep_their_messages(R, *cells):
+    """A subset of R that is not closed and one without R's identity
+    are refused, in blocks of each of cells cells, with their messages."""
+    x = int(np.flatnonzero(R.add[R.one] != R.zero)[-1])
+    assert R.add[R.one, x] not in (R.zero, R.one, x)
+    for c in cells:
+        with mock.patch.object(core, "_CHUNK_CELLS", c):
+            with pytest.raises(RingError) as info:
+                sub_ring_table(R, [R.zero, R.one, x])
+            assert str(info.value) == ("subset of %s is not closed under "
+                                       "the operations" % R.provenance)
+            with pytest.raises(RingError) as info:
+                sub_ring_table(R, [R.zero, x])
+            assert str(info.value) == ("subring must contain zero and its "
+                                       "identity")
+
+
+def test_derived_rings_equal_the_formula_tables(rings, whole_corpus):
+    small = [ent.ring for ent in whole_corpus.rings() if ent.ring.order <= 81]
+    for R in [rings[t] for t in SMALL_RINGS] + small:
+        assert_derived_rings_match_the_formula(R, *CHUNKS)
+    assert_derived_refusals_keep_their_messages(rings["M(2,Z(2))"], *CHUNKS)
+
+
+def test_a_derived_build_holds_no_square_temporary():
+    # the corner at the identity, the quotient by the zero ideal and
+    # the subring of every element, all of order 1296, in 8-row blocks:
+    # beside its two tables each holds under one n x n bool mask
+    R = build_expr("M(2,Z(6))")
+    everything = np.arange(R.order)
+    for build in (lambda: corner(R, R.one)[0], lambda: quotient(R, [])[0],
+                  lambda: sub_ring_table(R, everything)):
+        with mock.patch.object(core, "_CHUNK_CELLS", 8 * R.order):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                S = build()
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        assert S.order == R.order == 1296
+        assert peak - S.add.nbytes - S.mul.nbytes < R.order ** 2

@@ -17,7 +17,9 @@ from finring import (RingError, build_expr, build_ring, construct, core,
 
 import oracle
 from conftest import CHUNKS, SMALL_RINGS
-from test_construct import assert_builds_match_the_formula
+from test_construct import (assert_builds_match_the_formula,
+                            assert_derived_refusals_keep_their_messages,
+                            assert_derived_rings_match_the_formula)
 from test_dsl import SAMPLES
 from test_core import (ODD_TABLES, Z16, _magma_closure,
                        assert_negation_matches_naive,
@@ -293,7 +295,7 @@ def fill_stand_in(blocks=every_block, offset=True, coordinate=True):
         sizes, n = space.sizes, space.order
         rows = construct._build_table(space, mulfn, add.dtype, np.concatenate(
             [zero + (np.arange(s) - z) * st for s, z, st in
-             zip(sizes, space.decompose_scalar(zero), space.strides)]))
+             zip(sizes, space.decompose(zero), space.strides)]))
         out = np.empty((n, n), dtype=add.dtype)
         m = r0 = sizes[0]
         out[:m] = rows[:m]
@@ -330,6 +332,34 @@ def broadcast_stand_in(same=False, scale_by_table=False, forward=False):
     return _broadcast
 
 
+def derived_stand_in(blocks=every_block, closed=True, shift=0):
+    """construct._derived_ring over the row blocks that blocks() keeps;
+    when not closed it skips the closure check, and shift is added to
+    every entry of the index map."""
+    def _derived_ring(R, reps, one, prov, kind, index=None):
+        dt = core.table_dtype(R.order)
+        if index is None:
+            index = np.full(R.order, -1, dtype=dt)
+            index[reps] = np.arange(len(reps))
+        index = index + np.asarray(shift, dtype=index.dtype)
+        if index[R.zero] < 0 or index[one] < 0:
+            raise RingError("%s must contain zero and its identity" % kind)
+        n = len(reps)
+        add, mul = np.empty((2, n, n), dtype=core.table_dtype(n))
+        for op, out in ((R.add, add), (R.mul, mul)):
+            for rows in blocks(core._row_blocks(n, R.order)):
+                out[rows] = index[op[reps[rows, None], reps]]
+                if closed and out[rows].min() < 0:
+                    raise RingError("subset of %s is not closed under the "
+                                    "operations" % R.provenance)
+        suffix = "+I" if kind == "quotient" else ""
+        labels = tuple(R.labels[i] + suffix for i in reps.tolist())
+        return build_ring(add, mul, int(index[R.zero]), int(index[one]),
+                          labels, prov,
+                          construct.DerivedLayout(R, reps, index, kind))
+    return _derived_ring
+
+
 BLOCK_MUTATIONS = {
     "unbroken": {},
     "skips the first block": {"blocks": lambda b: list(b)[1:]},
@@ -355,6 +385,13 @@ BROADCAST_MUTATIONS = {
     "reuses coordinate 0's table": {"same": True},
     "scales by the coordinate's own size": {"scale_by_table": True},
     "prepends the coordinates first to last": {"forward": True},
+}
+
+DERIVED_MUTATIONS = {
+    "unbroken": {},
+    "skips the closure check": {"closed": False},
+    "drops the last block": {"blocks": lambda b: list(b)[:-1]},
+    "shifts the index map by one": {"shift": 1},
 }
 
 SCAN_MUTATIONS = {
@@ -528,6 +565,13 @@ def build_checks(rings):
             for c in CHUNKS]
 
 
+def derived_checks(rings):
+    return ([functools.partial(assert_derived_rings_match_the_formula,
+                               rings[t], *CHUNKS) for t in SMALL_RINGS]
+            + [functools.partial(assert_derived_refusals_keep_their_messages,
+                                 rings["M(2,Z(2))"], *CHUNKS)])
+
+
 # kernel -> (module, name of its loop there, stand-in factory, checks,
 # mutations: name -> the stand-in's arguments)
 KERNELS = {
@@ -561,6 +605,8 @@ KERNELS = {
                    FILL_MUTATIONS),
     "_broadcast": (construct, "_broadcast", broadcast_stand_in, build_checks,
                    BROADCAST_MUTATIONS),
+    "_derived_ring": (construct, "_derived_ring", derived_stand_in,
+                      derived_checks, DERIVED_MUTATIONS),
 }
 
 
