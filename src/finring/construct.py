@@ -770,21 +770,23 @@ def _algebra(p: int, d: int, node: BracketList, guards: Guards,
              prov: str) -> RingTable:
     """algebra(p,d,...) from its parsed bracket list of constants."""
     _check_modulus_and_dimension(p, d)
-    C = np.zeros((d, d, d), dtype=np.int64)
     if len(node.items) != d:
         raise RingError("structure constants must have %d rows" % d)
-    for i, row in enumerate(node.items):
+    # the d^3 constants are allocated only once the literal holds them all
+    values = []
+    for row in node.items:
         if not (isinstance(row, BracketList) and len(row.items) == d):
             raise RingError("structure constants must have shape (%d,%d,%d)"
                             % (d, d, d))
-        for j, cell in enumerate(row.items):
+        for cell in row.items:
             if not (isinstance(cell, BracketList) and len(cell.items) == d):
                 raise RingError("structure constants must have shape (%d,%d,%d)"
                                 % (d, d, d))
-            for k, v in enumerate(cell.items):
+            for v in cell.items:
                 if not isinstance(v, IntLit):
                     raise RingError("structure constants must be integers")
-                C[i, j, k] = v.value % p
+                values.append(v.value % p)
+    C = np.array(values, dtype=np.int64).reshape(d, d, d)
     return algebra_from_structure_constants(p, d, C, guards, prov)
 
 

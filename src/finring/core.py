@@ -130,14 +130,18 @@ def table_dtype(order: int):
 
 def _negation(add: np.ndarray, zero: int, dtype) -> np.ndarray:
     """neg[a] = the one b with a+b = zero, row block by row block;
-    RingError when some row has no such b or more than one."""
-    neg = np.empty(len(add), dtype=dtype)
-    for rows in _row_blocks(len(add)):
-        is_zero = add[rows] == zero
-        if not (is_zero.sum(axis=1) == 1).all():
+    RingError when some row has no such b or more than one.  The zero
+    cells of a block of r rows, in row-major order, are one per row
+    exactly when there are r of them and the k-th lies in row k."""
+    n = len(add)
+    neg = np.empty(n, dtype=dtype)
+    for rows in _row_blocks(n):
+        row, col = np.divmod(np.flatnonzero(add[rows] == zero), n)
+        if (len(row) != rows.stop - rows.start
+                or (row != np.arange(len(row))).any()):
             raise RingError("add not a group: some row lacks a unique "
                             "inverse")
-        neg[rows] = is_zero.argmax(axis=1)
+        neg[rows] = col
     return neg
 
 
@@ -160,7 +164,13 @@ def build_ring(add, mul, zero: int, one: int, labels: Sequence[str],
     if n < 2:
         raise RingError("rings of order < 2 are rejected (one = zero)")
     for name, t in (("add", add), ("mul", mul)):
-        if t.min() < 0 or t.max() >= n:
+        # a negative index reads past iinfo.max in the unsigned view, so
+        # one max finds it when n <= iinfo.max + 1; else min and max
+        if t.dtype.kind == "i" and n <= 1 << 8 * t.itemsize - 1:
+            bad = t.view(t.dtype.str.replace("i", "u")).max() >= n
+        else:
+            bad = t.min() < 0 or t.max() >= n
+        if bad:
             raise RingError("%s table has an index out of range" % name)
     if not (0 <= zero < n and 0 <= one < n):
         raise RingError("zero/one index out of range")

@@ -23,6 +23,14 @@ in growing blocks, and they and directly_finite stop at the first block
 holding a witness.  The only n^2 temporaries left are in construct's
 table builds, and each is a table itself (see core._CHUNK_CELLS).
 
+The right-sided questions at an idempotent e, its semicentral flags and
+abelian read column e of mul, the values x*e, from one contiguous block
+of the idempotents' columns gathered once per ring (_idempotent_columns),
+never at the stride of a row of mul.  It holds at most
+core._CHUNK_CELLS cells, and _column reads every other column from mul
+itself, so a Boolean ring of order 4096 (4096 idempotents) holds no
+second 32 MiB table.
+
 The triple families are decided on additive generators.  On a ring
 that passes core._biadditive ((R,+) abelian, + associative and both
 distributive laws proven along the coset tree; the product need not be
@@ -52,6 +60,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from . import core
 from .core import (_UNPROVEN_SKIP, DEFAULT_GUARDS, Guards, RingError,
                    RingTable, _additive_generators, _biadditive, _guard_skip,
                    _memo, _row_blocks, _subgroup_generators)
@@ -161,18 +170,37 @@ def left_annihilator(R: RingTable, xs) -> np.ndarray:
     return np.flatnonzero(mask)
 
 
+@_memo
+def _idempotent_columns(R: RingTable) -> tuple:
+    """(pos, block): row pos[f] of block is column f of mul, stored
+    contiguously, for the first core._CHUNK_CELLS // n idempotents f
+    (up to 1,024 at order 4096), and pos is -1 at every other
+    element."""
+    idem = idempotents(R)[:core._CHUNK_CELLS // R.order]
+    pos = np.full(R.order, -1, dtype=np.intp)
+    pos[idem] = np.arange(len(idem))
+    return pos, np.ascontiguousarray(R.mul.take(idem, axis=1).T)
+
+
+def _column(R: RingTable, e: int) -> np.ndarray:
+    """Column e of mul, the values x*e: a contiguous row of the
+    idempotent block, or a strided view of mul outside it."""
+    pos, block = _idempotent_columns(R)
+    return block[pos[e]] if pos[e] >= 0 else R.mul[:, e]
+
+
 def is_left_semicentral(R: RingTable, e) -> bool:
     """x*e = e*x*e for all x."""
     e = resolve_element(R, e)
-    col = R.mul[:, e]
-    return bool(np.array_equal(R.mul[e, col], col))
+    col = _column(R, e)
+    return bool(np.array_equal(R.mul[e].take(col), col))
 
 
 def is_right_semicentral(R: RingTable, e) -> bool:
     """e*x = e*x*e for all x."""
     e = resolve_element(R, e)
-    row = R.mul[e, :]
-    return bool(np.array_equal(R.mul[row, e], row))
+    row = R.mul[e]
+    return bool(np.array_equal(_column(R, e).take(row), row))
 
 
 @_memo
@@ -453,7 +481,7 @@ _NIL = _Family("pair", _nil_scan, None, (0,))
 def _sided(R: RingTable, side: str, e) -> np.ndarray:
     """s[v] for each value v: v itself, v*e on the right, e*v on the left."""
     if side == "right":
-        return np.asarray(R.mul[:, e])
+        return _column(R, e)
     if side == "left":
         return np.asarray(R.mul[e, :])
     return np.arange(R.order)
@@ -565,7 +593,7 @@ def _chk_domain(R, e):
 def _chk_abelian(R, e):
     for f in idempotents(R):
         f = int(f)
-        diff = np.flatnonzero(R.mul[f, :] != R.mul[:, f])
+        diff = np.flatnonzero(R.mul[f] != _column(R, f))
         if len(diff):
             r = int(diff[0])
             return (f, r), ("idempotent %s is not central: %s*%s = %s, "

@@ -8,6 +8,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -128,6 +129,18 @@ def test_malformed_algebra_exits_two(text, message):
     assert code == 2
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("d", [30, 2000, 100000])
+def test_a_short_algebra_literal_exits_two_before_allocating(d):
+    # the d^3 constants (59.6 GiB at d = 2000) are never allocated for a
+    # literal that does not hold them
+    text = "algebra(2,%d,[[[1]]])" % d
+    t0 = time.perf_counter()
+    code, out, err = run(["check", text, "reduced"])
+    assert time.perf_counter() - t0 < 1
+    assert (code, out) == (2, "")
+    assert "structure constants must have %d rows" % d in err
 
 
 def test_unknown_property_exits_two(monkeypatch):

@@ -58,6 +58,38 @@ def test_build_ring_rejects_bad_indices():
         build_ring(add, mul, 1, 1, labels)
 
 
+@pytest.mark.parametrize("table", ["add", "mul"])
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64,
+                                   list])
+def test_build_ring_rejects_an_index_out_of_range_in_every_dtype(table,
+                                                                  dtype):
+    # a negative index reads past iinfo.max in the unsigned view that
+    # the range check takes its max over
+    low = int(np.iinfo(np.int64 if dtype is list else dtype).min)
+    for value in (-1, low, 4):
+        add, mul, labels = _z4_tables()
+        tables = {"add": add, "mul": mul}
+        tables[table][2, 3] = value
+        tables = {k: t.tolist() if dtype is list else t.astype(dtype)
+                  for k, t in tables.items()}
+        with pytest.raises(RingError,
+                           match="^%s table has an index out of range$"
+                                 % table):
+            build_ring(tables["add"], tables["mul"], 0, 1, labels)
+
+
+@pytest.mark.parametrize("table", ["add", "mul"])
+def test_build_ring_rejects_a_negative_index_past_the_dtype(table):
+    # int8 cannot hold every index of order 200, so its unsigned view,
+    # where -100 reads 156, would pass: min and max decide instead
+    tables = {"add": np.zeros((200, 200), dtype=np.int8),
+              "mul": np.zeros((200, 200), dtype=np.int8)}
+    tables[table][3, 4] = -100
+    with pytest.raises(RingError,
+                       match="^%s table has an index out of range$" % table):
+        build_ring(tables["add"], tables["mul"], 0, 1, range(200))
+
+
 def test_build_ring_rejects_broken_group():
     add, mul, labels = _z4_tables()
     shifted = (add + 1) % 4
@@ -88,7 +120,8 @@ def assert_negation_matches_naive(add, zero, cells):
     want = naive_negation(add, zero)
     with mock.patch.object(core, "_CHUNK_CELLS", cells):
         if want is None:
-            with pytest.raises(RingError, match="lacks a unique inverse"):
+            with pytest.raises(RingError, match="^add not a group: some "
+                               "row lacks a unique inverse$"):
                 build_ring(add, add, zero, (zero + 1) % n, range(n))
         else:
             R = build_ring(add, add, zero, (zero + 1) % n, range(n))
@@ -113,6 +146,14 @@ def broken_inverse(row, kind):
     return add
 
 
+def broken_inverses(two, none):
+    """Z16 with row two's inverse doubled and row none's removed: a
+    block holding both rows has as many zero cells as rows."""
+    add = broken_inverse(two, "two")
+    add[none] = broken_inverse(none, "none")[none]
+    return add
+
+
 @pytest.mark.parametrize("cells", CHUNKS)
 def test_negation_matches_naive_in_every_block_size(rings, cells):
     assert_negation_matches_naive(Z16, 5, cells)
@@ -131,6 +172,17 @@ def test_negation_refuses_a_broken_row_in_every_block(row, kind, cells):
     assert naive_negation(add, 5) is None
     assert np.array_equal(add[5], np.arange(16))
     assert np.array_equal(add[:, 5], np.arange(16))
+    assert_negation_matches_naive(add, 5, cells)
+
+
+# rows in the first block, a middle one and the last at 48 cells (3
+# rows a block, row 15 alone); every pair shares the one default block
+@pytest.mark.parametrize("two, none", [(0, 1), (10, 9), (14, 15)])
+@pytest.mark.parametrize("cells", CHUNKS)
+def test_negation_refuses_a_doubled_and_a_missing_inverse(two, none, cells):
+    add = broken_inverses(two, none)
+    assert (add == 5).sum() == 16
+    assert naive_negation(add, 5) is None
     assert_negation_matches_naive(add, 5, cells)
 
 
@@ -305,8 +357,8 @@ def test_memo_keys_miss_the_construction_keys():
     assert memoized == {
         "_additive_generators", "_proven_on_tree", "_biadditive",
         "_add_noncommuting", "idempotents", "_nil_index", "center",
-        "minimal_left_idempotents", "_rev_scan", "_symm_scan",
-        "_scomm_scan", "_rel"}
+        "minimal_left_idempotents", "_idempotent_columns", "_rev_scan",
+        "_symm_scan", "_scomm_scan", "_rel"}
     for text in ("H(Z(2),1,1)", "twist(Z(2),hom[#0,#1])", "quot(Z(12),4)"):
         R = build_expr(text)
         assert R._cache == {}, text

@@ -24,14 +24,15 @@ from test_dsl import SAMPLES
 from test_core import (ODD_TABLES, Z16, _magma_closure,
                        assert_negation_matches_naive,
                        assert_tree_proof_matches_the_reference, broken_inverse,
-                       naive_greedy_generators, odd_ring)
+                       broken_inverses, naive_greedy_generators, odd_ring)
 from test_predicates import (DOMAIN_BREAKS, FINITE_BREAKS, SCANS,
+                             assert_columns_match_mul,
                              assert_domain_witness_matches_naive,
                              assert_finite_witness_matches_naive,
                              assert_scans_answer_as_the_whole_table,
                              assert_zero_pairs_match_argwhere, broken_ring,
-                             fresh, instances, relabelled, run_to_the_end,
-                             whole_table_minima)
+                             fresh, instances, naive_semicentral, relabelled,
+                             run_to_the_end, whole_table_minima)
 
 
 # ---------------------------------------------------------------------------
@@ -188,21 +189,37 @@ def ann_generators_stand_in(drop_last=False, one_class=False):
     return _ann_generators
 
 
-def negation_stand_in(blocks=every_block, offset=True):
+def negation_stand_in(blocks=every_block, offset=True, row_test=True):
     """core._negation, the loop of build_ring, over the blocks that
     blocks() keeps; when not offset, each block reads its rows as if it
-    started at row 0."""
+    started at row 0, and when not row_test, a block passes on the count
+    of its zero cells alone, whichever rows hold them."""
     def _negation(add, zero, dtype):
-        neg = np.zeros(len(add), dtype=dtype)
-        for rows in blocks(core._row_blocks(len(add))):
+        n = len(add)
+        neg = np.zeros(n, dtype=dtype)
+        for rows in blocks(core._row_blocks(n)):
             read = rows if offset else slice(0, rows.stop - rows.start)
-            is_zero = add[read] == zero
-            if not (is_zero.sum(axis=1) == 1).all():
+            row, col = np.divmod(np.flatnonzero(add[read] == zero), n)
+            if len(row) != rows.stop - rows.start or (
+                    row_test and (row != np.arange(len(row))).any()):
                 raise RingError("add not a group: some row lacks a unique "
                                 "inverse")
-            neg[rows] = is_zero.argmax(axis=1)
+            neg[rows] = col
         return neg
     return _negation
+
+
+def columns_stand_in(axis=1, shift=0):
+    """predicates._idempotent_columns, made anew at each call; with axis
+    0 it gathers rows of mul instead of columns, and shift is added to
+    the position of every idempotent in the block."""
+    def _idempotent_columns(R):
+        idem = predicates.idempotents(R)[:core._CHUNK_CELLS // R.order]
+        pos = np.full(R.order, -1, dtype=np.intp)
+        pos[idem] = np.arange(len(idem)) + shift
+        block = R.mul.take(idem, axis=axis)
+        return pos, np.ascontiguousarray(block.T if axis == 1 else block)
+    return _idempotent_columns
 
 
 def tree_proof_stand_in(blocks=every_block, relations=slice(None),
@@ -367,6 +384,17 @@ BLOCK_MUTATIONS = {
     "forgets the row offset r0": {"offset": False},
 }
 
+NEGATION_MUTATIONS = {
+    **BLOCK_MUTATIONS,
+    "counts a block's zeros without their rows": {"row_test": False},
+}
+
+COLUMN_MUTATIONS = {
+    "unbroken": {},
+    "gathers rows instead of columns": {"axis": 0},
+    "shifts each position by one": {"shift": 1},
+}
+
 TREE_PROOF_MUTATIONS = {
     "unbroken": {},
     "skips the first block": {"blocks": lambda b: list(b)[1:]},
@@ -512,10 +540,18 @@ def oracle_checks(*props):
 
 
 def negation_checks(rings):
-    tables = [Z16] + [broken_inverse(row, kind) for row in (0, 9, 15)
-                      for kind in ("none", "two")]
+    tables = ([Z16] + [broken_inverse(row, kind) for row in (0, 9, 15)
+                       for kind in ("none", "two")]
+              + [broken_inverses(two, none)
+                 for two, none in ((0, 1), (10, 9), (14, 15))])
     return [functools.partial(assert_negation_matches_naive, add, 5, c)
             for add in tables for c in CHUNKS]
+
+
+def column_checks(rings):
+    return [functools.partial(assert_columns_match_mul, rings[t],
+                              naive_semicentral(rings[t]), c)
+            for t in SMALL_RINGS for c in CHUNKS]
 
 
 def with_one_product_changed(R, row):
@@ -581,7 +617,10 @@ KERNELS = {
     "directly_finite": (predicates, "_cells", cells_stand_in, finite_checks,
                         BLOCK_MUTATIONS),
     "build_ring": (core, "_negation", negation_stand_in, negation_checks,
-                   BLOCK_MUTATIONS),
+                   NEGATION_MUTATIONS),
+    "_idempotent_columns": (predicates, "_idempotent_columns",
+                            columns_stand_in, column_checks,
+                            COLUMN_MUTATIONS),
     "_rel": (predicates, "_rel", rel_stand_in,
              oracle_checks("reflexive", "right_idempotent_reflexive",
                            "prime"), REL_MUTATIONS),

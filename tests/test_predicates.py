@@ -264,6 +264,64 @@ def test_semicentral_flags(rings):
             assert is_right_semicentral(R, e) == rsc
 
 
+def naive_semicentral(R):
+    """Per element e, whether x*e = e*x*e and whether e*x = e*x*e for
+    every x, by loops over the tables as lists."""
+    mul, n = R.mul.tolist(), R.order
+    return [(all(mul[x][e] == mul[mul[e][x]][e] for x in range(n)),
+             all(mul[e][x] == mul[mul[e][x]][e] for x in range(n)))
+            for e in range(n)]
+
+
+def assert_columns_match_mul(R, naive, cells):
+    """On a copy of R in blocks of cells cells, _column(e) is column e of
+    mul for every element e, idempotent or not, both semicentral tests
+    agree with naive (naive_semicentral), and the idempotent block holds
+    at most cells cells."""
+    S = build_ring(R.add, R.mul, R.zero, R.one, R.labels)
+    with mock.patch.object(core, "_CHUNK_CELLS", cells):
+        pos, block = predicates._idempotent_columns(S)
+        assert block.size <= cells and block.flags.c_contiguous
+        for e in range(S.order):
+            assert np.array_equal(predicates._column(S, e), R.mul[:, e]), e
+        assert [(is_left_semicentral(S, e), is_right_semicentral(S, e))
+                for e in range(S.order)] == naive
+
+
+def test_idempotent_columns_match_mul_on_the_corpus(corpus):
+    rings = [e.ring for e in corpus.entries if e.ring is not None]
+    assert max(R.order for R in rings) == 512
+    for R in rings:
+        naive = naive_semicentral(R)
+        for cells in CHUNKS:
+            assert_columns_match_mul(R, naive, cells)
+
+
+def test_idempotents_past_the_cap_read_their_columns_from_mul():
+    # a Boolean ring of order 64 has 64 idempotents: a block of 8 columns
+    # leaves 56 of them to the strided view of mul
+    B = build_expr("prod(Z(2),Z(2),Z(2),Z(2),Z(2),Z(2))")
+    assert len(idempotents(B)) == B.order == 64
+    cells = 8 * B.order
+    naive = naive_semicentral(B)
+    for c in CHUNKS + (cells,):
+        assert_columns_match_mul(B, naive, c)
+    S = build_ring(B.add, B.mul, B.zero, B.one, B.labels)
+    idempotents(S)
+    with mock.patch.object(core, "_CHUNK_CELLS", cells):
+        tracemalloc.start()
+        try:
+            pos, block = predicates._idempotent_columns(S)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert block.shape == (8, 64) and (pos >= 0).sum() == 8
+    # the gather and its contiguous copy, each of at most cells cells,
+    # pos and 1 KiB of headers: under the n x n table an uncapped block
+    # would be
+    assert peak < 2 * cells * S.mul.itemsize + pos.nbytes + 1024 < S.mul.nbytes
+
+
 # sampled restatement of the exhaustive cross-check above, driven by
 # hypothesis so shrinking points at the smallest disagreeing instance
 @settings(max_examples=60, deadline=None)
