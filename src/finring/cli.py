@@ -167,6 +167,8 @@ def cmd_laws(args) -> int:
             if c.status == "violated":
                 print("  VIOLATED %s idempotent=%s: %s"
                       % (c.ring, c.idempotent, c.reason or c.detail))
+                if c.reason and c.detail:
+                    print("    detail: %s" % c.detail)
                 if c.witness_labels:
                     print("    witness: %s" % ", ".join(c.witness_labels))
     print("violated cases: %d" % violated)

@@ -8,6 +8,7 @@ import contextlib
 import hashlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -20,8 +21,13 @@ from finring.expr import (
     BracketList, CosetLit, IntLit, RawIndex, RingExpr, TupleLit,
 )
 
+from test_cli import SURVEY_DIGESTS
+
 PAIR_CAP = 4096
 R16_PREFIX = "algebra(2,4,"
+# the reference digest of `finring laws --format json`
+LAWS_DIGEST = (
+    "2b5e11577656ce7b6c3e7c058261d80cfd9536efcf27fc445a5c44e8c65d6370")
 
 
 def report(n, text):
@@ -167,13 +173,23 @@ def test_criterion_09_determinism():
 
     first, second = laws_json(), laws_json()
     assert first == second
-    # the reference digest of `finring laws --format json`
-    assert hashlib.sha256(first.encode()).hexdigest() == (
-        "2b5e11577656ce7b6c3e7c058261d80cfd9536efcf27fc445a5c44e8c65d6370")
+    assert hashlib.sha256(first.encode()).hexdigest() == LAWS_DIGEST
     data = json.loads(first)
     assert data["schema"] == "finring/1"
     report(9, "two consecutive law runs emit byte-identical machine "
               "reports (%d bytes)" % len(first))
+
+
+def test_benchmark_output_pins_agree_with_these_tests():
+    # finbench/pins.json pins the stdout of the benchmark's commands; each
+    # pin must be the digest these tests pin for the same command, so a
+    # re-pin on one side only fails here, before any benchmark runs
+    path = Path(__file__).resolve().parents[1] / "finbench" / "pins.json"
+    pins = json.loads(path.read_text())["outputs"]
+    ours = {" ".join(argv): digest for argv, digest in SURVEY_DIGESTS.items()}
+    ours["laws --format json"] = LAWS_DIGEST
+    assert pins
+    assert {command: ours.get(command) for command in pins} == pins
 
 
 def _ast_pool():

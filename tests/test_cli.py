@@ -353,13 +353,16 @@ def test_every_way_a_run_ends_has_its_exit_code(monkeypatch, raised, code):
 
 def test_laws_violation_exit_code(tmp_path, monkeypatch):
     # no shipped corpus violates a law, so fake one verdict to pin the
-    # exit-code contract
+    # exit-code contract; the table prints the case's reason, then its
+    # detail (the verdicts it read)
     import finring.cli as cli_mod
     real = cli_mod.run_laws
 
     def doctored(*a, **k):
         reports = real(*a, **k)
-        reports[0].cases[0].status = "violated"
+        case = reports[0].cases[0]
+        case.status = "violated"
+        case.reason = "right-side characterization broke"
         return reports
 
     monkeypatch.setattr(cli_mod, "run_laws", doctored)
@@ -367,7 +370,12 @@ def test_laws_violation_exit_code(tmp_path, monkeypatch):
     path.write_text("Z(4)\n")
     code, out, _ = run(["laws", "--corpus", str(path), "--law", "ere"])
     assert code == 1
-    assert "VIOLATED" in out
+    lines = out.splitlines()
+    at = lines.index("  VIOLATED Z(4) idempotent=1: right-side "
+                     "characterization broke")
+    assert lines[at + 1] == (
+        "    detail: corner order 4 reversible=True; semicentral left=True "
+        "right=True; relative right=True left=True")
 
 
 def test_usage_error_exits_two():

@@ -1,6 +1,7 @@
 """The law suite over the shipped manifest: nothing may come out violated."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -231,10 +232,101 @@ def test_examples_under_small_guards_skip_rather_than_fail():
     # was skipped come out skipped, with the guard's reason
     rep = run_law("examples", Corpus("unused", []),
                   Guards(pair_cap=16, triple_cap=8))
-    assert rep.totals["violated"] == 0
-    assert rep.totals["skipped"] > 0
+    assert rep.totals == {"holds": 12, "violated": 0, "not-applicable": 0,
+                          "skipped": 35}
     assert all("guard" in c.reason for c in rep.cases
                if c.status == "skipped")
+
+
+# sha256 of `finring laws --law examples --format json` stdout at the
+# default guards and at two small ones, where some scenes are skipped
+EXAMPLES_DIGESTS = {
+    ():
+        "e18700bbd4db89c23e567365b4a1d1655713174ef4c243979e7d4126ee79701b",
+    ("--max-pair-order", "16", "--max-triple-order", "8"):
+        "1bdcd3b37bd5f2342e2dad7a42c28130137dfd1e185a8e81e05edb0873b9d5d3",
+    ("--max-pair-order", "64", "--max-triple-order", "16"):
+        "de92435581d5f9330d317ebb09aaf3daebbbb0f5fbd19a96a1f7efd5f66ec677",
+}
+
+
+@pytest.mark.parametrize("caps", sorted(EXAMPLES_DIGESTS))
+def test_examples_json_bytes_are_pinned(caps):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli_main(["laws", "--law", "examples", "--format", "json",
+                         *caps]) == 0
+    assert (hashlib.sha256(out.getvalue().encode()).hexdigest()
+            == EXAMPLES_DIGESTS[caps])
+
+
+def _flip_k_verdicts(monkeypatch):
+    real = laws.check_property
+
+    def flipped(R, prop, e=None, guards=DEFAULT_GUARDS):
+        v = real(R, prop, e, guards)
+        if R.provenance == "K(Z(3),0)" and prop == "right_e_reversible":
+            other = {"holds": "fails", "fails": "holds"}
+            v = dataclasses.replace(v, status=other.get(v.status, v.status))
+        return v
+    monkeypatch.setattr(laws, "check_property", flipped)
+
+
+def _refuse_f_pinned_pair(monkeypatch):
+    (f,) = [row for row in laws._SCENE_CHECKS if row.scene == "f"]
+    real = laws.replay_witness
+
+    def refusing(R, prop, e, witness):
+        if R.provenance == f.ring and tuple(
+                R.labels[w] for w in witness) == f.witness:
+            return False
+        return real(R, prop, e, witness)
+    monkeypatch.setattr(laws, "replay_witness", refusing)
+
+
+def _drop_a_k_idempotent(monkeypatch):
+    real = laws.idempotents
+
+    def dropping(R):
+        ids = real(R)
+        return ids[:-1] if R.provenance == "K(Z(3),0)" else ids
+    monkeypatch.setattr(laws, "idempotents", dropping)
+
+
+def _point_a_row_at_a_non_idempotent(monkeypatch):
+    rows = list(laws._SCENE_CHECKS)
+    assert (rows[1].scene, rows[1].ring) == ("a", "U(2,Z(3))")
+    rows[1] = rows[1]._replace(idem="[[0,1],[0,0]]")    # squares to 0
+    monkeypatch.setattr(laws, "_SCENE_CHECKS", tuple(rows))
+
+
+# engine faults the examples law must catch: fault -> (the scene whose
+# cases come out violated, the patch); the unbroken stand-in patches
+# nothing and must report no violation
+_EXAMPLE_FAULTS = {
+    "unbroken": (None, lambda monkeypatch: None),
+    "right_e_reversible flipped on K(Z(3),0)": ("j", _flip_k_verdicts),
+    "replay refuses the pinned pair of scene f": ("f", _refuse_f_pinned_pair),
+    "K(Z(3),0) loses an idempotent": ("j", _drop_a_k_idempotent),
+    "a row names a non-idempotent": ("a", _point_a_row_at_a_non_idempotent),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_EXAMPLE_FAULTS))
+def test_examples_law_catches_engine_faults(fault, monkeypatch):
+    scene, patch = _EXAMPLE_FAULTS[fault]
+    patch(monkeypatch)
+    cases = run_law("examples", Corpus("unused", [])).cases
+    violated = [c for c in cases if c.status == "violated"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli_main(["laws", "--law", "examples"])
+    if scene is None:
+        assert (violated, code) == ([], 0)
+        return
+    assert violated and code == 1       # a fault, never a usage error
+    assert all(c.detail.startswith("scene %s: " % scene) for c in violated)
+    assert "    detail: scene %s: " % scene in out.getvalue()
 
 
 def test_h_ring_law_needs_unit_parameters():
